@@ -48,12 +48,14 @@ golden-update:
 bench:
 	$(GO) run ./cmd/benchjson -bench . -sims -out BENCH_$(DATE).json
 
-# bench-smoke is the CI variant: just the topology and scheduler
+# bench-smoke is the CI variant: just the topology, scheduler and routing
 # micro-benchmarks plus a timed quick-scale campaign, written to bench.json
-# for artifact upload.
+# for artifact upload. BenchmarkDBFCompute's rounds and broadcasts metrics
+# are deterministic: if either moves in the artifact, the DBF semantics
+# changed.
 bench-smoke:
 	$(GO) run ./cmd/benchjson \
-		-bench 'BenchmarkReachedBy|BenchmarkContenders|BenchmarkZoneNeighborsRebuild|BenchmarkScheduler' \
+		-bench 'BenchmarkReachedBy|BenchmarkContenders|BenchmarkZoneNeighborsRebuild|BenchmarkScheduler|BenchmarkDBFCompute' \
 		-campaign examples/campaigns/fig8.json \
 		-out bench.json
 

@@ -440,9 +440,10 @@ type Result struct {
 type RunConfig struct {
 	// SimWorkers bounds the goroutines the run's data-parallel kernels use
 	// (neighbor-cache warmup, DBF rounds, route derivation, graph builds).
-	// 0 or 1 means serial; values above GOMAXPROCS are clamped. The event
-	// loop itself is always single-threaded (DESIGN.md §5.1); results are
-	// byte-identical at every worker count (DESIGN.md §10).
+	// 0 or 1 means serial. Counts above GOMAXPROCS are used as given, not
+	// clamped: zone.Workers caps only at zone.MaxWorkers (DESIGN.md §10).
+	// The event loop itself is always single-threaded (DESIGN.md §5.1);
+	// results are byte-identical at every worker count (DESIGN.md §10).
 	SimWorkers int
 
 	// Obs attaches run-lifecycle observability: phase timing and kernel

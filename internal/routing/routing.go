@@ -9,13 +9,20 @@
 // The algorithm is executed as the real distributed protocol would be: in
 // rounds, each node whose distance vector changed broadcasts it to its zone
 // neighbors. The number of broadcasts is recorded so the mobility
-// experiments (§5.1.3) can charge routing-convergence energy.
+// experiments (§5.1.3) can charge routing-convergence energy. The kernel
+// relaxes only the entries a broadcaster changed (ComputeWorkers), but the
+// charge still prices every broadcast as the full vector
+// (ChargeConvergenceEnergy): the shortcut changes how fast the tables are
+// computed, not what the modeled radio traffic costs.
+//
+// The tables keep k alternatives per destination, yet SPMS (internal/core)
+// forwards only along the primary entry; the secondary routes are a known
+// gap in fidelity to the paper (DESIGN.md §5.2).
 package routing
 
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -96,11 +103,18 @@ type Entry struct {
 
 // Tables is the converged output of one DBF execution for every node.
 type Tables struct {
-	n      int
-	k      int
-	dist   [][]float64 // dist[i][d]: shortest cost i→d (math.Inf if none)
-	hops   [][]int     // hops on the shortest path
-	routes [][][]Entry // routes[i][d]: up to k entries, best first
+	n    int
+	dist []float64 // row-major n×n: dist[i*n+d] is the shortest cost i→d (+Inf if none)
+	hops []int32   // row-major n×n: hops on that path (-1 if none)
+
+	// routes holds each (src, dst) pair's alternatives, best first, in a
+	// fixed run of stride slots starting at (src*n+dst)*stride; nroutes
+	// counts the filled ones. stride is k capped at the largest degree,
+	// since a pair never has more candidates than its source has
+	// neighbors.
+	routes  []Entry
+	nroutes []int32
+	stride  int
 
 	rounds        int
 	broadcasts    int
@@ -113,16 +127,42 @@ func Compute(g *Graph, k int) *Tables {
 	return ComputeWorkers(g, k, 1)
 }
 
-// ComputeWorkers is Compute over up to workers goroutines. The synchronous
-// DBF round structure is exactly what makes it parallel-safe: within a
-// round every node reads only the previous generation's vectors
-// (double-buffered) and writes only its own row, so rows partition across
-// workers with no synchronization beyond the round barrier. Each node's row
-// is computed by the identical instruction sequence regardless of worker
-// count — same float operations in the same order — so the converged tables
-// are bit-identical at any worker count. The broadcast accounting (a
-// cross-node reduction the mobility experiments charge energy by) stays
-// serial in node order between rounds.
+// vecEntry is one distance-vector entry as a node broadcasts it.
+type vecEntry struct {
+	dest int32
+	hops int32
+	cost float64
+}
+
+// ComputeWorkers is Compute over up to workers goroutines.
+//
+// Each round runs as the triggered updates of a real distance-vector
+// protocol: a node broadcasts exactly when it changed some entry in the
+// previous round, and what its neighbors relax is the published snapshot
+// of just those entries. That is exact, not an approximation of the dense
+// synchronous update that relaxes every broadcaster's whole vector: for
+// each (i, d) the candidates still arrive in adjacency order, and every
+// one skipped is an entry of j that i already relaxed, at the same value,
+// in the round after j last changed it. Since then i's entry has only
+// improved, so the dense update would reject that candidate again.
+//
+// Exactness condition: that last step needs "better" (lower cost beyond
+// costEpsilon, then fewer hops) to be a strict weak order on the costs
+// that occur, i.e. approxEqual must be transitive on them: any two path
+// costs are either equal up to rounding or apart by much more than
+// costEpsilon. The MICA2-scaled models meet it by a wide margin: on the
+// fields the tests and experiments use, distinct path costs lie at least
+// ~1.6e-4 of the top power level apart (~2e-7 mW at a 10 m radius), while
+// equal costs differ by under 1e-15 mW of rounding. deriveRoutes relies on
+// the same condition. TestComputeMatchesDenseReference checks the tables
+// bit for bit against the dense kernel.
+//
+// Rounds are parallel over rows in two phases. In the relax phase node i
+// reads only its neighbors' snapshots and writes only its own row (in
+// place) and change list; in the publish phase it writes only its own
+// snapshot. Every row is computed by the same float operations in the
+// same order at any worker count, so the tables are bit-identical; the
+// broadcast accounting stays serial in node order between rounds.
 func ComputeWorkers(g *Graph, k, workers int) *Tables {
 	if k < 1 {
 		k = DefaultAlternatives
@@ -130,42 +170,36 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 	n := g.n
 	t := &Tables{
 		n:             n,
-		k:             k,
-		dist:          make([][]float64, n),
-		hops:          make([][]int, n),
-		routes:        make([][][]Entry, n),
+		dist:          make([]float64, n*n),
+		hops:          make([]int32, n*n),
 		perNodeBcasts: make([]int, n),
 	}
-	// Round 0: every node announces its initial vector (distance 0 to
-	// itself) to its neighbors. The two vector generations are
-	// double-buffered and swapped between rounds — the synchronous
-	// read-old/write-new update without reallocating O(N²) state per round.
-	changed := make([]bool, n)
-	next := make([]bool, n)
-	newDist := make([][]float64, n)
-	newHops := make([][]int, n)
+	// pub[i] is node i's snapshot from the last round, chg[i] the
+	// destinations it changes this round (dirty dedupes them); all are
+	// carved from one backing each and reused every round.
+	pub := make([][]vecEntry, n)
+	chg := make([][]int32, n)
+	pubBuf := make([]vecEntry, n*n)
+	chgBuf := make([]int32, n*n)
+	dirty := make([]bool, n*n)
 	zone.For(workers, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.dist[i] = make([]float64, n)
-			t.hops[i] = make([]int, n)
-			for d := 0; d < n; d++ {
-				if i == d {
-					t.dist[i][d] = 0
-				} else {
-					t.dist[i][d] = math.Inf(1)
-					t.hops[i][d] = -1
-				}
+			dist, hops := t.dist[i*n:(i+1)*n], t.hops[i*n:(i+1)*n]
+			for d := range dist {
+				dist[d] = math.Inf(1)
+				hops[d] = -1
 			}
-			changed[i] = true
-			newDist[i] = make([]float64, n)
-			newHops[i] = make([]int, n)
+			dist[i], hops[i] = 0, 0
+			// Round 0: every node announces its initial vector, in which
+			// only the distance 0 to itself is finite.
+			pub[i] = append(pubBuf[i*n:i*n:(i+1)*n], vecEntry{dest: int32(i)})
+			chg[i] = chgBuf[i*n : i*n : (i+1)*n]
 		}
 	})
-	inf := math.Inf(1)
 	for {
 		anyChanged := false
-		for i := range changed {
-			if changed[i] {
+		for i := range pub {
+			if len(pub[i]) > 0 {
 				anyChanged = true
 				t.broadcasts++
 				t.perNodeBcasts[i]++
@@ -176,43 +210,58 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 		}
 		t.rounds++
 
-		// Each node recomputes from the vectors its neighbors broadcast
-		// this round. Disjoint writes: node i's worker owns next[i],
-		// newDist[i], newHops[i] and reads only previous-generation state.
 		zone.For(workers, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				next[i] = false
-				di, hops := newDist[i], newHops[i]
-				copy(di, t.dist[i])
-				copy(hops, t.hops[i])
+				dist, hops, dirt := t.dist[i*n:(i+1)*n], t.hops[i*n:(i+1)*n], dirty[i*n:(i+1)*n]
+				changed := chg[i][:0]
 				for _, e := range g.adj[i] {
-					if !changed[e.To] {
-						continue // that neighbor did not broadcast this round
-					}
-					dj, hj := t.dist[e.To], t.hops[e.To]
-					w := e.WeightMW
-					for d := 0; d < n; d++ {
-						if i == d || dj[d] == inf {
-							continue
-						}
-						cand := w + dj[d]
-						if cand < di[d]-costEpsilon ||
-							(approxEqual(cand, di[d]) && 1+hj[d] < hops[d]) {
-							di[d] = cand
-							hops[d] = 1 + hj[d]
-							next[i] = true
-						}
-					}
+					changed = relax(dist, hops, dirt, changed, int32(i), e.WeightMW, pub[e.To])
 				}
+				chg[i] = changed
 			}
 		})
-		t.dist, newDist = newDist, t.dist
-		t.hops, newHops = newHops, t.hops
-		changed, next = next, changed
+		zone.For(workers, n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dist, hops, dirt := t.dist[i*n:(i+1)*n], t.hops[i*n:(i+1)*n], dirty[i*n:(i+1)*n]
+				snap := pub[i][:0]
+				for _, d := range chg[i] {
+					dirt[d] = false
+					snap = append(snap, vecEntry{dest: d, hops: hops[d], cost: dist[d]})
+				}
+				pub[i] = snap
+			}
+		})
 	}
 
-	t.deriveRoutes(g, workers)
+	t.deriveRoutes(g, k, workers)
 	return t
+}
+
+// relax offers node self, whose row is dist/hops, the entries one neighbor
+// published, reached over a link of weight w. It returns changed extended
+// by each destination that improved for the first time this round. It is
+// a function of its own, not part of the kernel closure, so that its loop
+// state stays in registers. The relax test is the dense kernel's, float
+// expression for float expression; self's own entry (0 cost, 0 hops) can
+// never pass it with positive link weights, so the skip sits after the
+// test, off the hot path.
+func relax(dist []float64, hops []int32, dirty []bool, changed []int32, self int32, w float64, snap []vecEntry) []int32 {
+	hops, dirty = hops[:len(dist)], dirty[:len(dist)] // one bounds check on d covers all three rows
+	for _, v := range snap {
+		d := v.dest
+		cand, h := w+v.cost, 1+v.hops
+		if cand < dist[d]-costEpsilon || (h < hops[d] && approxEqual(cand, dist[d])) {
+			if d == self {
+				continue
+			}
+			dist[d], hops[d] = cand, h
+			if !dirty[d] {
+				dirty[d] = true
+				changed = append(changed, d)
+			}
+		}
+	}
+	return changed
 }
 
 // costEpsilon absorbs float error when comparing accumulated link weights.
@@ -220,68 +269,82 @@ const costEpsilon = 1e-12
 
 func approxEqual(a, b float64) bool { return math.Abs(a-b) <= costEpsilon }
 
+// compareRoutes orders route candidates: lower cost beyond costEpsilon,
+// then fewer hops, then the lower next-hop id. A pair's candidates have
+// distinct next hops, so under ComputeWorkers' exactness condition this
+// is a strict total order.
+func compareRoutes(a, b Entry) int {
+	if !approxEqual(a.Cost, b.Cost) {
+		if a.Cost < b.Cost {
+			return -1
+		}
+		return 1
+	}
+	if a.Hops != b.Hops {
+		return a.Hops - b.Hops
+	}
+	return int(a.NextHop) - int(b.NextHop)
+}
+
 // deriveRoutes builds the k-alternative tables from converged distances:
 // for each (src, dst), the candidate cost via each neighbor j is
-// w(src,j) + dist(j,dst); keep the best k with distinct next hops. One
-// scratch buffer collects candidates per pair (the comparator's NextHop
-// tie-break makes the order total, so the sort result is unique); the kept
-// prefix is copied into an arena so the N² route slices cost O(N²·k)
-// memory in a handful of allocations instead of one allocation per pair.
+// w(src,j) + dist(j,dst); keep the best k with distinct next hops. Each
+// pair keeps its best k by insertion as the candidates arrive. Because
+// compareRoutes is a strict total order, that selects exactly the first
+// k of the sorted candidate list.
 //
 // Rows partition across workers: each (i, d) entry is a pure function of
-// the converged distances, written only by the worker owning row i, with
-// per-worker scratch and arena — so the tables are identical at any worker
-// count.
-func (t *Tables) deriveRoutes(g *Graph, workers int) {
-	zone.For(workers, t.n, func(_, lo, hi int) {
-		var scratch []Entry
-		arena := make([]Entry, 0, t.n*t.k) // grown in whole-row steps as needed
+// the converged distances, written only by the worker owning row i, so
+// the tables are identical at any worker count.
+func (t *Tables) deriveRoutes(g *Graph, k, workers int) {
+	n, stride := t.n, 0
+	for _, adj := range g.adj {
+		stride = max(stride, min(k, len(adj)))
+	}
+	t.stride = stride
+	t.routes = make([]Entry, n*n*stride)
+	t.nroutes = make([]int32, n*n)
+	zone.For(workers, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.routes[i] = make([][]Entry, t.n)
-			for d := 0; d < t.n; d++ {
+			row, counts := t.routes[i*n*stride:(i+1)*n*stride], t.nroutes[i*n:(i+1)*n]
+			for d := 0; d < n; d++ {
 				if i == d {
 					continue
 				}
-				cands := scratch[:0]
+				top := row[d*stride : d*stride : (d+1)*stride]
 				for _, e := range g.adj[i] {
 					j := int(e.To)
-					if math.IsInf(t.dist[j][d], 1) {
+					if math.IsInf(t.dist[j*n+d], 1) {
 						continue
 					}
-					cands = append(cands, Entry{
+					top = insertTopK(top, Entry{
 						NextHop: e.To,
-						Cost:    e.WeightMW + t.dist[j][d],
-						Hops:    1 + t.hops[j][d],
+						Cost:    e.WeightMW + t.dist[j*n+d],
+						Hops:    1 + int(t.hops[j*n+d]),
 					})
 				}
-				scratch = cands
-				slices.SortFunc(cands, func(a, b Entry) int {
-					if !approxEqual(a.Cost, b.Cost) {
-						if a.Cost < b.Cost {
-							return -1
-						}
-						return 1
-					}
-					if a.Hops != b.Hops {
-						return a.Hops - b.Hops
-					}
-					return int(a.NextHop) - int(b.NextHop)
-				})
-				if len(cands) > t.k {
-					cands = cands[:t.k]
-				}
-				if len(cands) == 0 {
-					continue
-				}
-				if cap(arena)-len(arena) < len(cands) {
-					arena = make([]Entry, 0, t.n*t.k)
-				}
-				start := len(arena)
-				arena = append(arena, cands...)
-				t.routes[i][d] = arena[start:len(arena):len(arena)]
+				counts[d] = int32(len(top))
 			}
 		}
 	})
+}
+
+// insertTopK inserts c into top, kept sorted by compareRoutes, and drops
+// the worst entry when top is already at its capacity.
+func insertTopK(top []Entry, c Entry) []Entry {
+	p := len(top)
+	for p > 0 && compareRoutes(c, top[p-1]) < 0 {
+		p--
+	}
+	if p == cap(top) {
+		return top
+	}
+	if len(top) < cap(top) {
+		top = top[:len(top)+1]
+	}
+	copy(top[p+1:], top[p:])
+	top[p] = c
+	return top
 }
 
 // Rounds returns how many synchronous rounds DBF took to converge.
@@ -308,10 +371,13 @@ func (t *Tables) check(id packet.NodeID) {
 func (t *Tables) Routes(src, dst packet.NodeID) []Entry {
 	t.check(src)
 	t.check(dst)
-	if src == dst {
+	pair := int(src)*t.n + int(dst)
+	c := int(t.nroutes[pair])
+	if c == 0 {
 		return nil
 	}
-	return t.routes[src][dst]
+	base := pair * t.stride
+	return t.routes[base : base+c : base+c]
 }
 
 // NextHop returns the primary next hop for src→dst.
@@ -327,7 +393,7 @@ func (t *Tables) NextHop(src, dst packet.NodeID) (packet.NodeID, bool) {
 func (t *Tables) Cost(src, dst packet.NodeID) (float64, bool) {
 	t.check(src)
 	t.check(dst)
-	d := t.dist[src][dst]
+	d := t.dist[int(src)*t.n+int(dst)]
 	if math.IsInf(d, 1) {
 		return 0, false
 	}
@@ -338,10 +404,11 @@ func (t *Tables) Cost(src, dst packet.NodeID) (float64, bool) {
 func (t *Tables) Hops(src, dst packet.NodeID) (int, bool) {
 	t.check(src)
 	t.check(dst)
-	if math.IsInf(t.dist[src][dst], 1) {
+	pair := int(src)*t.n + int(dst)
+	if math.IsInf(t.dist[pair], 1) {
 		return 0, false
 	}
-	return t.hops[src][dst], true
+	return int(t.hops[pair]), true
 }
 
 // Path materializes the primary route src→dst by following next hops.
