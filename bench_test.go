@@ -76,7 +76,7 @@ func benchFigure(b *testing.B, run func(*experiment.Runner) (experiment.Table, e
 	b.Helper()
 	var table experiment.Table
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick())
+		r := experiment.NewRunner(experiment.Quick(), 0)
 		t, err := run(r)
 		if err != nil {
 			b.Fatal(err)
@@ -91,7 +91,7 @@ func benchFigure(b *testing.B, run func(*experiment.Runner) (experiment.Table, e
 // tables are byte-identical across pool sizes (asserted against serial), so
 // the only difference is wall clock.
 func BenchmarkSweepWorkers(b *testing.B) {
-	serial, err := experiment.NewRunnerWorkers(experiment.Quick(), 1).Figure8()
+	serial, err := experiment.NewRunner(experiment.Quick(), 1).Figure8()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		seen[w] = true
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiment.NewRunnerWorkers(experiment.Quick(), w)
+				r := experiment.NewRunner(experiment.Quick(), w)
 				t, err := r.Figure8()
 				if err != nil {
 					b.Fatal(err)
@@ -176,7 +176,7 @@ func BenchmarkFig13ClusterEnergy(b *testing.B) {
 func BenchmarkMobilityThreshold(b *testing.B) {
 	var breakEven, dbf float64
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick())
+		r := experiment.NewRunner(experiment.Quick(), 0)
 		be, d, err := r.MobilityThreshold()
 		if err != nil {
 			b.Fatal(err)
@@ -325,7 +325,7 @@ func BenchmarkInterZoneQuery(b *testing.B) {
 		ledger := dissem.NewLedger()
 		sink := packet.NodeID(11)
 		interest := func(id packet.NodeID, d packet.DataID) bool { return id == sink }
-		tables := routing.Compute(routing.BuildGraph(f), routing.DefaultAlternatives)
+		tables := routing.ComputeWorkers(routing.BuildGraphWorkers(f, 1), routing.DefaultAlternatives, 1)
 		sys, err := core.NewSystem(nw, ledger, interest, tables, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -368,12 +368,12 @@ func BenchmarkDBFCompute(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			f := benchField(b, bc.n)
 			f.RelocateFraction(bc.relocate, sim.NewRNG(1))
-			g := routing.BuildGraph(f)
+			g := routing.BuildGraphWorkers(f, 1)
 			var tbl *routing.Tables
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tbl = routing.Compute(g, routing.DefaultAlternatives)
+				tbl = routing.ComputeWorkers(g, routing.DefaultAlternatives, 1)
 			}
 			b.ReportMetric(float64(tbl.Rounds()), "rounds")
 			b.ReportMetric(float64(tbl.Broadcasts()), "broadcasts")

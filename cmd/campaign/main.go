@@ -35,8 +35,9 @@
 // Live telemetry (internal/obs): -progress prints a heartbeat line to
 // stderr every second (points done/total, completion rate, ETA, in-flight
 // point indices), and -debug-addr starts an HTTP debug endpoint serving
-// /debug/progress (JSON snapshot), /debug/vars (expvar), and /debug/pprof.
-// Neither affects the result stream: sink output stays byte-identical.
+// /debug/progress (a JSON array of snapshots), /debug/vars (expvar), and
+// /debug/pprof. Neither affects the result stream: sink output stays
+// byte-identical.
 //
 // Service mode (internal/service, DESIGN.md §14): `campaign serve` runs a
 // long-lived HTTP daemon instead of a single campaign. POST a campaign
@@ -262,30 +263,8 @@ func runCampaign(specPath string, args []string) int {
 		}
 	}
 
-	// Durability wiring: on -resume, replay and validate the journal before
-	// reopening it in append mode.
-	var journal *checkpoint.Journal
-	var completed map[int][]experiment.Result
-	if *checkpointDir != "" {
-		if *resume {
-			var err error
-			completed, err = c.LoadCheckpoint(*checkpointDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-				return 1
-			}
-			if len(completed) > 0 {
-				fmt.Fprintf(os.Stderr, "campaign: resuming %q: %d/%d points from %s\n",
-					c.Spec.Name, len(completed), len(c.Points), checkpoint.JournalPath(*checkpointDir))
-			}
-		}
-		var err error
-		journal, err = checkpoint.OpenJournal(*checkpointDir, *resume)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-			return 1
-		}
-		defer journal.Close()
+	if *resume {
+		fmt.Fprintf(os.Stderr, "campaign: resuming %q from %s\n", c.Spec.Name, checkpoint.JournalPath(*checkpointDir))
 	}
 	var cache *checkpoint.Cache
 	if *cacheDir != "" {
@@ -322,8 +301,8 @@ func runCampaign(specPath string, args []string) int {
 		SimWorkers: *simWorkers,
 		Progress:   progress,
 		Retry:      campaign.RetryPolicy{Max: *retries, Backoff: *retryBackoff},
-		Journal:    journal,
-		Completed:  completed,
+		Checkpoint: *checkpointDir,
+		Resume:     *resume,
 		Cache:      cache,
 		Cancel:     cancel,
 	})

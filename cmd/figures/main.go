@@ -122,7 +122,7 @@ func run() int {
 		emit.table(experiment.Figure5())
 	}
 
-	runner := experiment.NewRunnerWorkers(q, *parallel)
+	runner := experiment.NewRunner(q, *parallel)
 	simFigures := []struct {
 		id  string
 		run func() (experiment.Table, error)

@@ -62,7 +62,7 @@ func run(nodes int, radius float64, failures bool, seed int64) error {
 	// Run the collection under both protocols.
 	fmt.Printf("\n%-8s %16s %14s %12s\n", "protocol", "energy (µJ/pkt)", "mean delay", "delivery")
 	for _, p := range []experiment.Protocol{experiment.SPMS, experiment.SPIN} {
-		res, err := experiment.Run(experiment.Scenario{
+		res, err := experiment.RunWith(experiment.Scenario{
 			Protocol:       p,
 			Workload:       experiment.Clustered,
 			Nodes:          nodes,
@@ -70,7 +70,7 @@ func run(nodes int, radius float64, failures bool, seed int64) error {
 			PacketsPerNode: 5,
 			Failures:       failures,
 			Seed:           seed,
-		})
+		}, experiment.RunConfig{})
 		if err != nil {
 			return err
 		}

@@ -45,14 +45,14 @@ func run(nodes int, radius float64, packets int, seed int64) error {
 		{"SPIN", experiment.SPIN},
 		{"FLOOD", experiment.Flooding},
 	} {
-		res, err := experiment.Run(experiment.Scenario{
+		res, err := experiment.RunWith(experiment.Scenario{
 			Protocol:       r.proto,
 			Workload:       experiment.AllToAll,
 			Nodes:          nodes,
 			ZoneRadius:     radius,
 			PacketsPerNode: packets,
 			Seed:           seed,
-		})
+		}, experiment.RunConfig{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}

@@ -47,7 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tables := routing.Compute(routing.BuildGraph(field), routing.DefaultAlternatives)
+	tables := routing.ComputeWorkers(routing.BuildGraphWorkers(field, 1), routing.DefaultAlternatives, 1)
 	ledger := dissem.NewLedger()
 
 	sink := packet.NodeID(11)

@@ -44,7 +44,7 @@ func run() error {
 	}
 
 	// Routing: one Distributed Bellman-Ford execution over the zone.
-	tables := routing.Compute(routing.BuildGraph(field), routing.DefaultAlternatives)
+	tables := routing.ComputeWorkers(routing.BuildGraphWorkers(field, 1), routing.DefaultAlternatives, 1)
 	fmt.Printf("routing converged in %d rounds (%d vector broadcasts)\n",
 		tables.Rounds(), tables.Broadcasts())
 	fmt.Printf("shortest path A→C: %v (cost %.4f mW-sum)\n\n", pathString(tables, 0, 2), mustCost(tables, 0, 2))

@@ -76,7 +76,7 @@ func quickReport() (string, error) {
 	b.WriteString(experiment.Figure3().Format() + "\n")
 	b.WriteString(experiment.Figure5().Format() + "\n")
 
-	runner := experiment.NewRunner(experiment.Quick())
+	runner := experiment.NewRunner(experiment.Quick(), 0)
 	figures := []func() (experiment.Table, error){
 		runner.Figure6, runner.Figure7, runner.Figure8, runner.Figure9,
 		runner.Figure10, runner.Figure11, runner.Figure12, runner.Figure13,

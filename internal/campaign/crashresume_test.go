@@ -35,10 +35,11 @@ func straightRun(t *testing.T, c *Campaign) (string, string) {
 	return jsonl.String(), csvBuf.String()
 }
 
-// TestCrashResumeEquivalence is the property test at the heart of the PR:
-// for EVERY prefix length k, kill a journaling run after k completed
-// points, resume from the journal, and byte-compare the resumed run's
-// JSONL and CSV against the uninterrupted run.
+// TestCrashResumeEquivalence is the property test at the heart of the
+// crash-safety contract: for EVERY prefix length k, kill a journaling run
+// after k completed points, tear the journal's tail the way a kill
+// mid-append would, resume from the journal twice, and byte-compare each
+// resumed run's JSONL and CSV against the uninterrupted run.
 func TestCrashResumeEquivalence(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
@@ -64,64 +65,61 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		if k == 0 {
 			close(cancel) // killed before any point
 		}
-		j, err := checkpoint.OpenJournal(dir, false)
-		if err != nil {
-			t.Fatalf("k=%d: OpenJournal: %v", k, err)
-		}
 		mem := &MemorySink{}
-		_, err = c.Run(RunOptions{Workers: 1, Sinks: []Sink{mem}, Run: killing, Journal: j, Cancel: cancel})
-		j.Close()
+		_, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{mem}, Run: killing, Checkpoint: dir, Cancel: cancel})
 		if !errors.Is(err, experiment.ErrCancelled) {
 			t.Fatalf("k=%d: interrupted run err = %v, want ErrCancelled", k, err)
 		}
 		if !mem.Aborted || mem.Closed {
 			t.Fatalf("k=%d: interrupted run aborted=%v closed=%v, want aborted only", k, mem.Aborted, mem.Closed)
 		}
-
-		// Resume: replay the journal, execute only the missing points.
-		completed, err := c.LoadCheckpoint(dir)
+		completed, err := c.loadCheckpoint(dir)
 		if err != nil {
-			t.Fatalf("k=%d: LoadCheckpoint: %v", k, err)
+			t.Fatalf("k=%d: loadCheckpoint: %v", k, err)
 		}
 		if len(completed) != k {
 			t.Fatalf("k=%d: journal holds %d points, want exactly %d", k, len(completed), k)
 		}
-		j2, err := checkpoint.OpenJournal(dir, true)
-		if err != nil {
-			t.Fatalf("k=%d: reopen journal: %v", k, err)
-		}
-		var jsonl, csvBuf bytes.Buffer
-		var reran atomic.Int64
-		counting := func(sc experiment.Scenario) (experiment.Result, error) {
-			reran.Add(1)
-			return stubRun(sc)
-		}
-		_, err = c.Run(RunOptions{
-			Workers:   3,
-			Sinks:     []Sink{NewJSONLSink(&jsonl), NewCSVSink(&csvBuf)},
-			Run:       counting,
-			Journal:   j2,
-			Completed: completed,
-		})
-		j2.Close()
-		if err != nil {
-			t.Fatalf("k=%d: resumed run: %v", k, err)
-		}
-		if got := int(reran.Load()); got != n-k {
-			t.Fatalf("k=%d: resumed run executed %d points, want %d — resumed points re-simulated", k, got, n-k)
-		}
-		if jsonl.String() != refJ {
-			t.Fatalf("k=%d: resumed JSONL diverged from uninterrupted run:\n--- resumed\n%s\n--- straight\n%s", k, jsonl.String(), refJ)
-		}
-		if csvBuf.String() != refC {
-			t.Fatalf("k=%d: resumed CSV diverged from uninterrupted run:\n--- resumed\n%s\n--- straight\n%s", k, csvBuf.String(), refC)
-		}
 
-		// The journal now holds the complete grid: a second resume is a
+		// A kill mid-append leaves half a record with no newline.
+		f, err := os.OpenFile(checkpoint.JournalPath(dir), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatalf("k=%d: open journal: %v", k, err)
+		}
+		if _, err := f.WriteString(`{"index":`); err != nil {
+			t.Fatalf("k=%d: tear journal: %v", k, err)
+		}
+		f.Close()
+
+		// Resume twice: the first executes only the missing points, the
+		// second — over a journal that now holds the complete grid — is a
 		// pure replay executing nothing.
-		complete, err := c.LoadCheckpoint(dir)
-		if err != nil || len(complete) != n {
-			t.Fatalf("k=%d: post-resume journal holds %d points (err %v), want %d", k, len(complete), err, n)
+		for pass, want := range []int{n - k, 0} {
+			var jsonl, csvBuf bytes.Buffer
+			var reran atomic.Int64
+			counting := func(sc experiment.Scenario) (experiment.Result, error) {
+				reran.Add(1)
+				return stubRun(sc)
+			}
+			_, err = c.Run(RunOptions{
+				Workers:    3,
+				Sinks:      []Sink{NewJSONLSink(&jsonl), NewCSVSink(&csvBuf)},
+				Run:        counting,
+				Checkpoint: dir,
+				Resume:     true,
+			})
+			if err != nil {
+				t.Fatalf("k=%d resume %d: %v", k, pass, err)
+			}
+			if got := int(reran.Load()); got != want {
+				t.Fatalf("k=%d resume %d: executed %d points, want %d — resumed points re-simulated", k, pass, got, want)
+			}
+			if jsonl.String() != refJ {
+				t.Fatalf("k=%d resume %d: JSONL diverged from uninterrupted run:\n--- resumed\n%s\n--- straight\n%s", k, pass, jsonl.String(), refJ)
+			}
+			if csvBuf.String() != refC {
+				t.Fatalf("k=%d resume %d: CSV diverged from uninterrupted run:\n--- resumed\n%s\n--- straight\n%s", k, pass, csvBuf.String(), refC)
+			}
 		}
 	}
 }
@@ -149,16 +147,14 @@ func TestCrashResumeReplicated(t *testing.T) {
 		}
 		return stubRun(sc)
 	}
-	j, _ := checkpoint.OpenJournal(dir, false)
-	_, err = c.Run(RunOptions{Workers: 1, Sinks: []Sink{&MemorySink{}}, Run: killing, Journal: j, Cancel: cancel})
-	j.Close()
+	_, err = c.Run(RunOptions{Workers: 1, Sinks: []Sink{&MemorySink{}}, Run: killing, Checkpoint: dir, Cancel: cancel})
 	if !errors.Is(err, experiment.ErrCancelled) {
 		t.Fatalf("interrupted run err = %v, want ErrCancelled", err)
 	}
 
-	completed, err := c.LoadCheckpoint(dir)
+	completed, err := c.loadCheckpoint(dir)
 	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
+		t.Fatalf("loadCheckpoint: %v", err)
 	}
 	if len(completed) != 2 {
 		t.Fatalf("journal holds %d points, want 2", len(completed))
@@ -169,15 +165,13 @@ func TestCrashResumeReplicated(t *testing.T) {
 		}
 	}
 
-	j2, _ := checkpoint.OpenJournal(dir, true)
 	var jsonl, csvBuf bytes.Buffer
 	var reran atomic.Int64
 	counting := func(sc experiment.Scenario) (experiment.Result, error) {
 		reran.Add(1)
 		return stubRun(sc)
 	}
-	_, err = c.Run(RunOptions{Workers: 4, Sinks: []Sink{NewJSONLSink(&jsonl), NewCSVSink(&csvBuf)}, Run: counting, Journal: j2, Completed: completed})
-	j2.Close()
+	_, err = c.Run(RunOptions{Workers: 4, Sinks: []Sink{NewJSONLSink(&jsonl), NewCSVSink(&csvBuf)}, Run: counting, Checkpoint: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -371,7 +365,8 @@ func TestRetryExhaustion(t *testing.T) {
 
 // TestLoadCheckpointValidation: a journal is only replayable into the
 // campaign it came from — wrong index, wrong hash, or wrong replicate
-// count all fail loudly instead of corrupting the resumed run.
+// count all fail a resumed Run loudly, with every sink aborted rather than
+// finalized, instead of corrupting the resumed output.
 func TestLoadCheckpointValidation(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
@@ -404,8 +399,15 @@ func TestLoadCheckpointValidation(t *testing.T) {
 				t.Fatalf("Append: %v", err)
 			}
 			j.Close()
-			if _, err := c.LoadCheckpoint(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("LoadCheckpoint err = %v, want %q", err, tc.want)
+			sinks := []*MemorySink{{}, {}}
+			_, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{sinks[0], sinks[1]}, Run: stubRun, Checkpoint: dir, Resume: true})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resumed Run err = %v, want %q", err, tc.want)
+			}
+			for i, s := range sinks {
+				if !s.Aborted || s.Closed {
+					t.Fatalf("sink %d aborted=%v closed=%v, want aborted only", i, s.Aborted, s.Closed)
+				}
 			}
 		})
 	}
@@ -416,9 +418,9 @@ func TestLoadCheckpointValidation(t *testing.T) {
 	j.Append(checkpoint.Record{Index: 0, Hash: goodHash(0), Results: []experiment.Result{{Items: 1}}})
 	j.Append(checkpoint.Record{Index: 0, Hash: goodHash(0), Results: []experiment.Result{{Items: 2}}})
 	j.Close()
-	completed, err := c.LoadCheckpoint(dir)
-	if err != nil || len(completed) != 1 || completed[0][0].Items != 2 {
-		t.Fatalf("duplicate-record journal: completed=%v err=%v, want the later record", completed, err)
+	results, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{&MemorySink{}}, Run: stubRun, Checkpoint: dir, Resume: true})
+	if err != nil || results[0][0].Items != 2 {
+		t.Fatalf("duplicate-record journal: point 0 = %v err=%v, want the later record", results[0], err)
 	}
 }
 

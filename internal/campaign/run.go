@@ -8,8 +8,9 @@
 // replicated points (spec replications > 1) flow to Sink.Aggregate with
 // their full replicate vector and per-metric statistics.
 //
-// The runner is also the crash-safety seam (DESIGN.md §13): points
-// already finished by a previous run (Completed, from a checkpoint
+// The runner is also the crash-safety seam (DESIGN.md §13): it owns the
+// checkpoint journal's resume protocol (replay and validate, reopen for
+// append, close), points already finished by a previous run (from the
 // journal) or by any previous campaign (Cache) replay into the sinks
 // without re-execution, every freshly finished point is journaled
 // write-ahead of its sink delivery, failed trials re-execute under the
@@ -69,7 +70,7 @@ type RunOptions struct {
 	// but do not finalize) per sink.
 	Sinks []Sink
 	// Run overrides the per-trial executor (tests); nil means
-	// experiment.Run.
+	// experiment.RunWith at SimWorkers.
 	Run func(experiment.Scenario) (experiment.Result, error)
 	// SimWorkers bounds the data-parallel kernel goroutines inside each
 	// simulation (experiment.RunConfig.SimWorkers). It is an execution knob,
@@ -91,17 +92,18 @@ type RunOptions struct {
 	// time.Sleep.
 	Sleep func(time.Duration)
 
-	// Journal, when non-nil, durably records every finished point BEFORE
-	// any sink observes it — the write-ahead contract that makes a killed
-	// run resumable from its journal. Points replayed via Completed are
-	// not re-journaled (their records are already in the journal being
-	// resumed); cache-served points are.
-	Journal *checkpoint.Journal
-	// Completed maps point index → replicate vector finished by a previous
-	// run of this campaign (from LoadCheckpoint). Completed points replay
-	// into the sinks without re-execution, so a resumed run's sink output
-	// is byte-identical to an uninterrupted one.
-	Completed map[int][]experiment.Result
+	// Checkpoint, when non-empty, is the directory whose journal durably
+	// records every finished point BEFORE any sink observes it — the
+	// write-ahead contract that makes a killed run resumable. Without
+	// Resume, a journal already there is truncated.
+	Checkpoint string
+	// Resume replays the journal in Checkpoint before anything runs: each
+	// record is validated against this campaign's grid, and its point
+	// replays into the sinks without re-execution (and without being
+	// journaled again), so a resumed run's sink output is byte-identical
+	// to an uninterrupted one. A missing journal is an empty history.
+	// Ignored without Checkpoint.
+	Resume bool
 	// Cache, when non-nil, is consulted before executing each remaining
 	// point and updated after each fresh completion — cross-campaign reuse
 	// keyed by canonical scenario hash.
@@ -143,6 +145,25 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 				abortSinks())
 		}
 	}
+
+	// The resume protocol: replay and validate the journal, then reopen it
+	// for append. Completed maps point index → replicate vector.
+	var journal *checkpoint.Journal
+	var completed map[int][]experiment.Result
+	if opts.Checkpoint != "" {
+		var err error
+		if opts.Resume {
+			if completed, err = c.loadCheckpoint(opts.Checkpoint); err != nil {
+				return nil, errors.Join(err, abortSinks())
+			}
+		}
+		if journal, err = checkpoint.OpenJournal(opts.Checkpoint, opts.Resume); err != nil {
+			return nil, errors.Join(err, abortSinks())
+		}
+		// Every Append already synced its record; Close has nothing left
+		// to flush.
+		defer journal.Close()
+	}
 	for i, s := range opts.Sinks {
 		if err := s.Begin(c); err != nil {
 			// Abort every sink through the failing one: its Begin may have
@@ -165,7 +186,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	// Canonical hashes are only needed when some durability layer is on,
 	// and only for the points this run owns.
 	var hashes []string
-	if opts.Journal != nil || opts.Cache != nil {
+	if journal != nil || opts.Cache != nil {
 		hashes = make([]string, len(c.Points))
 		for i := lo; i < hi; i++ {
 			h, err := experiment.ScenarioHash(scenarios[i])
@@ -179,11 +200,11 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	results := make([][]experiment.Result, len(c.Points))
 	done := make([]bool, len(c.Points))
 
-	// Replay the journaled prefix of a resumed run. LoadCheckpoint already
+	// Replay the journaled prefix of a resumed run. loadCheckpoint already
 	// validated indices, hashes, and vector lengths; completions outside
 	// this run's range belong to other shards and are ignored.
 	for i := lo; i < hi; i++ {
-		if rs, ok := opts.Completed[i]; ok {
+		if rs, ok := completed[i]; ok {
 			results[i] = rs
 			done[i] = true
 			opts.Progress.PointResumed(i)
@@ -206,9 +227,9 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 				// the replication count is a damaged entry: a miss.
 				continue
 			}
-			if opts.Journal != nil {
+			if journal != nil {
 				rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
-				if err := opts.Journal.Append(rec); err != nil {
+				if err := journal.Append(rec); err != nil {
 					return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
 				}
 			}
@@ -276,9 +297,9 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		// Write-ahead: the journal record must be durable before any sink
 		// observes the point, so a crash after partial sink output always
 		// finds the point in the journal on resume.
-		if opts.Journal != nil {
+		if journal != nil {
 			rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
-			if err := opts.Journal.Append(rec); err != nil {
+			if err := journal.Append(rec); err != nil {
 				return err
 			}
 		}
@@ -371,14 +392,14 @@ func withRetry(run func(experiment.Scenario) (experiment.Result, error), policy 
 	}
 }
 
-// LoadCheckpoint replays the journal in dir and validates every record
+// loadCheckpoint replays the journal in dir and validates every record
 // against this campaign's grid: the index must be inside the grid, the
 // record's scenario hash must match the point at that index (a journal
 // can never resume a campaign it does not belong to), and the replicate
-// vector must be full. It returns the completed map for RunOptions; a
+// vector must be full. It returns the completed points by index; a
 // missing journal is an empty history. Duplicate indices keep the later
 // record — a cache-refresh overwrite, not an error.
-func (c *Campaign) LoadCheckpoint(dir string) (map[int][]experiment.Result, error) {
+func (c *Campaign) loadCheckpoint(dir string) (map[int][]experiment.Result, error) {
 	recs, err := checkpoint.LoadJournal(dir)
 	if err != nil {
 		return nil, err

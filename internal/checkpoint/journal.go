@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -50,14 +51,20 @@ type Journal struct {
 
 // OpenJournal opens the journal inside dir, creating the directory as
 // needed. With resume false any previous journal is truncated — a fresh
-// checkpointed run starts a fresh log; with resume true existing records
-// are preserved and new ones append after them (the caller replays the old
-// records first via LoadJournal).
+// checkpointed run starts a fresh log; with resume true the records
+// LoadJournal replays are preserved and new ones append after them (the
+// caller replays the old records first via LoadJournal).
+//
+// On resume the file is first cut back to the records LoadJournal keeps:
+// appending onto a crash-torn tail would fuse the next record with the
+// fragment into one unreadable line. The cut needs no sync of its own —
+// the next Append's sync makes the new length durable with its record, and
+// a crash before then leaves a tail the next resume cuts again.
 func OpenJournal(dir string, resume bool) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	flags := os.O_CREATE | os.O_RDWR | os.O_APPEND
 	if !resume {
 		flags |= os.O_TRUNC
 	}
@@ -65,13 +72,26 @@ func OpenJournal(dir string, resume bool) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
 	}
+	if resume {
+		_, committed, err := scanJournal(f)
+		if err == nil {
+			if err = f.Truncate(committed); err != nil {
+				err = fmt.Errorf("checkpoint: cut torn journal tail: %w", err)
+			}
+		}
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	return &Journal{f: f}, nil
 }
 
 // Append durably records one finished point: the record is marshaled to a
-// single JSONL line, written in one call, and fsynced before Append
-// returns. A crash between write and sync can leave at most a truncated
-// final line, which LoadJournal discards.
+// single JSONL line, written together with its newline in one call, and
+// fsynced before Append returns. A crash before the sync returns can leave
+// at most a torn final line — one the caller never saw acknowledged —
+// which LoadJournal discards.
 func (j *Journal) Append(rec Record) error {
 	data, err := json.Marshal(&rec)
 	if err != nil {
@@ -94,11 +114,12 @@ func (j *Journal) Close() error {
 }
 
 // LoadJournal replays the journal in dir and returns its records in append
-// order. A truncated or otherwise unparseable FINAL line is discarded —
-// that is the legal residue of a crash mid-append — but garbage earlier in
-// the file is real corruption and fails loudly. A missing journal (or
-// missing directory) is an empty history, not an error, so "resume a
-// campaign that never checkpointed" degrades to a fresh run.
+// order. A line counts only once its newline is on disk: an unterminated
+// final fragment is the residue of a crash mid-Append and is discarded even
+// when it parses, as is an unparseable final line; garbage earlier in the
+// file is real corruption and fails loudly. A missing journal (or missing
+// directory) is an empty history, not an error, so "resume a campaign that
+// never checkpointed" degrades to a fresh run.
 func LoadJournal(dir string) ([]Record, error) {
 	f, err := os.Open(JournalPath(dir))
 	if err != nil {
@@ -108,39 +129,45 @@ func LoadJournal(dir string) ([]Record, error) {
 		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
 	}
 	defer f.Close()
+	recs, _, err := scanJournal(f)
+	return recs, err
+}
 
-	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var pendingErr error
-	line := 0
-	for sc.Scan() {
-		line++
+// scanJournal parses journal lines from r under LoadJournal's rules and
+// returns the records kept plus the byte length of the prefix holding
+// them, which is where a resumed journal appends.
+func scanJournal(r io.Reader) ([]Record, int64, error) {
+	br := bufio.NewReaderSize(r, 64*1024)
+	var (
+		recs       []Record
+		off        int64
+		committed  int64
+		pendingErr error
+	)
+	for line := 1; ; line++ {
+		raw, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return recs, committed, nil
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("checkpoint: read journal: %w", err)
+		}
 		if pendingErr != nil {
-			// The bad line had successors, so it was not a crash-truncated
+			// The bad line had successors, so it was not a crash-torn
 			// tail: surface the corruption.
-			return nil, pendingErr
+			return nil, 0, pendingErr
 		}
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
+		off += int64(len(raw))
+		if raw = bytes.TrimSpace(raw); len(raw) > 0 {
+			var rec Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				pendingErr = fmt.Errorf("checkpoint: journal line %d corrupt: %w", line, err)
+				continue
+			}
+			recs = append(recs, rec)
 		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			pendingErr = fmt.Errorf("checkpoint: journal line %d corrupt: %w", line, err)
-			continue
-		}
-		recs = append(recs, rec)
+		committed = off
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong && pendingErr == nil {
-			// An over-long unterminated tail is the same crash residue as a
-			// truncated line; everything scanned before it stands.
-			return recs, nil
-		}
-		return nil, fmt.Errorf("checkpoint: read journal: %w", err)
-	}
-	return recs, nil
 }
 
 // WriteFileAtomic writes data to path via a temporary file in the same

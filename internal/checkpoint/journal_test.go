@@ -67,38 +67,69 @@ func TestJournalMissingIsEmpty(t *testing.T) {
 
 // TestJournalTruncatedTailDiscarded: a SIGKILL between write and sync can
 // leave a partial final line; replay must keep every complete record and
-// drop only the torn tail.
+// drop only the torn tail — even a tail that parses but lacks its newline —
+// and resumed appends must land on clean lines of their own.
 func TestJournalTruncatedTailDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, false)
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(rec(i, hashA, float64(i))); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	j.Close()
+	for _, tc := range []struct {
+		name string
+		tear func(line string) string
+	}{
+		{"half line", func(line string) string { return line[:len(line)/2] }},
+		{"missing newline", func(line string) string { return strings.TrimSuffix(line, "\n") }},
+		{"unparseable", func(line string) string { return line[:len(line)/2] + "\n" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, false)
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := j.Append(rec(i, hashA, float64(i))); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+			}
+			j.Close()
 
-	data, err := os.ReadFile(JournalPath(dir))
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
-	// Simulate the crash: keep the first two full lines plus a torn prefix
-	// of the third.
-	lines := strings.SplitAfter(string(data), "\n")
-	torn := lines[0] + lines[1] + lines[2][:len(lines[2])/2]
-	if err := os.WriteFile(JournalPath(dir), []byte(torn), 0o644); err != nil {
-		t.Fatalf("write torn journal: %v", err)
-	}
+			data, err := os.ReadFile(JournalPath(dir))
+			if err != nil {
+				t.Fatalf("read journal: %v", err)
+			}
+			// Simulate the crash: keep the first two full lines plus a torn
+			// form of the third.
+			lines := strings.SplitAfter(string(data), "\n")
+			torn := lines[0] + lines[1] + tc.tear(lines[2])
+			if err := os.WriteFile(JournalPath(dir), []byte(torn), 0o644); err != nil {
+				t.Fatalf("write torn journal: %v", err)
+			}
 
-	recs, err := LoadJournal(dir)
-	if err != nil {
-		t.Fatalf("LoadJournal(torn): %v", err)
-	}
-	if len(recs) != 2 || recs[0].Index != 0 || recs[1].Index != 1 {
-		t.Fatalf("torn journal replayed %+v, want records 0 and 1", recs)
+			recs, err := LoadJournal(dir)
+			if err != nil {
+				t.Fatalf("LoadJournal(torn): %v", err)
+			}
+			if len(recs) != 2 || recs[0].Index != 0 || recs[1].Index != 1 {
+				t.Fatalf("torn journal replayed %+v, want records 0 and 1", recs)
+			}
+
+			// Two resumed runs each append a record; both must replay.
+			for i := 3; i < 5; i++ {
+				j, err := OpenJournal(dir, true)
+				if err != nil {
+					t.Fatalf("OpenJournal(resume): %v", err)
+				}
+				if err := j.Append(rec(i, hashB, float64(i))); err != nil {
+					t.Fatalf("Append: %v", err)
+				}
+				j.Close()
+			}
+			recs, err = LoadJournal(dir)
+			if err != nil {
+				t.Fatalf("LoadJournal(resumed): %v", err)
+			}
+			if len(recs) != 4 || recs[0].Index != 0 || recs[1].Index != 1 || recs[2].Index != 3 || recs[3].Index != 4 {
+				t.Fatalf("resumed journal replayed %+v, want records 0, 1, 3, 4", recs)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 const (
 	DefaultTOutADV = time.Millisecond
 	DefaultTOutDAT = 2500 * time.Microsecond
-	DefaultProc    = 20 * time.Microsecond
 )
 
 // DefaultMaxAttempts bounds the REQ failover chain. With two routing
@@ -92,7 +91,7 @@ func DefaultConfig() Config {
 	return Config{
 		TOutADV:      DefaultTOutADV,
 		TOutDAT:      DefaultTOutDAT,
-		Proc:         DefaultProc,
+		Proc:         network.DefaultProc,
 		AutoTimeouts: true,
 		MaxAttempts:  DefaultMaxAttempts,
 	}
@@ -159,7 +158,7 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	}
 	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables}
 	s.deriveTimeouts()
-	nw.DeferProcessing(cfg.Proc)
+	nw.SetProcessingDelay(cfg.Proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
@@ -378,9 +377,9 @@ func (n *node) clearWant(d packet.DataID, it int) {
 }
 
 // HandlePacket runs the protocol reaction to p. The Tproc processing delay
-// of §4's model is applied by the network's batched deferred dispatch
-// (DeferProcessing in NewSystem), which also re-checks liveness — so by the
-// time this runs, the node is alive and the clock is already at
+// of §4's model is applied by the network's batched dispatch
+// (SetProcessingDelay in NewSystem), which also re-checks liveness — so by
+// the time this runs, the node is alive and the clock is already at
 // delivery+Tproc.
 func (n *node) HandlePacket(p packet.Packet) {
 	it := n.item(p.Meta)

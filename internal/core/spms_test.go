@@ -38,7 +38,7 @@ func buildFixture(t *testing.T, field *topo.Field, interest dissem.Interest, cfg
 		t.Fatalf("network.New: %v", err)
 	}
 	ledger := dissem.NewLedger()
-	tables := routing.Compute(routing.BuildGraph(field), routing.DefaultAlternatives)
+	tables := routing.ComputeWorkers(routing.BuildGraphWorkers(field, 1), routing.DefaultAlternatives, 1)
 	sys, err := NewSystem(nw, ledger, interest, tables, cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -494,7 +494,7 @@ func TestTransientFailureRecoveryServesCache(t *testing.T) {
 
 func TestSetTables(t *testing.T) {
 	fx := chainFixture(t, 3, dissem.Everyone, 14)
-	fresh := routing.Compute(routing.BuildGraph(fx.field), 2)
+	fresh := routing.ComputeWorkers(routing.BuildGraphWorkers(fx.field, 1), 2, 1)
 	fx.sys.SetTables(fresh)
 	if fx.sys.Tables() != fresh {
 		t.Fatal("SetTables did not swap tables")

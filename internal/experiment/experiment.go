@@ -454,12 +454,9 @@ type RunConfig struct {
 	Obs *obs.RunObserver
 }
 
-// Run executes the scenario to completion and collects metrics.
-func Run(sc Scenario) (Result, error) {
-	return RunWith(sc, RunConfig{})
-}
-
-// RunWith is Run with explicit execution knobs.
+// RunWith executes the scenario to completion under the execution knobs
+// in cfg (the zero RunConfig is a serial, unobserved run) and collects
+// metrics.
 func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -602,7 +599,7 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 // newFloodSystem adapts the flooding baseline to the common constructor
 // shape.
 func newFloodSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Interest) (dissem.Protocol, error) {
-	return flood.NewSystem(nw, ledger, interest, core.DefaultProc)
+	return flood.NewSystem(nw, ledger, interest, network.DefaultProc)
 }
 
 // buildField constructs the scenario's node layout. Uniform and clustered

@@ -8,7 +8,7 @@ import (
 // runPair executes a scenario under both SPMS and SPIN (test helper over
 // the memoizing Runner).
 func runPair(sc Scenario) (spms, spin Result, err error) {
-	return NewRunner(Quick()).pair(sc)
+	return NewRunner(Quick(), 0).pair(sc)
 }
 
 // quickScenario is a small but non-trivial all-to-all configuration used
@@ -39,7 +39,7 @@ func TestRunValidation(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			sc := quickScenario(SPMS)
 			tt.mutate(&sc)
-			if _, err := Run(sc); err == nil {
+			if _, err := RunWith(sc, RunConfig{}); err == nil {
 				t.Fatal("invalid scenario accepted")
 			}
 		})
@@ -50,7 +50,7 @@ func TestRunCompletesAllProtocols(t *testing.T) {
 	for _, p := range []Protocol{SPMS, SPIN, Flooding} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			res, err := Run(quickScenario(p))
+			res, err := RunWith(quickScenario(p), RunConfig{})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -86,11 +86,11 @@ func TestSPMSBeatsSPINOnEnergyAndDelay(t *testing.T) {
 }
 
 func TestFloodingCostsMostEnergy(t *testing.T) {
-	flood, err := Run(quickScenario(Flooding))
+	flood, err := RunWith(quickScenario(Flooding), RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	spin, err := Run(quickScenario(SPIN))
+	spin, err := RunWith(quickScenario(SPIN), RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestFloodingCostsMostEnergy(t *testing.T) {
 
 func TestFailuresIncreaseDelay(t *testing.T) {
 	base := quickScenario(SPMS)
-	free, err := Run(base)
+	free, err := RunWith(base, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestFailuresIncreaseDelay(t *testing.T) {
 	// Per-node failure clocks at Table 1 rates put every node down ≈1/6 of
 	// the time, so failures are guaranteed to land inside the active
 	// dissemination window.
-	failing, err := Run(base)
+	failing, err := RunWith(base, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestFailuresIncreaseDelay(t *testing.T) {
 func TestMobilityChargesControlEnergy(t *testing.T) {
 	sc := quickScenario(SPMS)
 	sc.Mobility = true
-	res, err := Run(sc)
+	res, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestMobilityChargesControlEnergy(t *testing.T) {
 	}
 	// SPIN pays no routing cost under mobility.
 	sc.Protocol = SPIN
-	spinRes, err := Run(sc)
+	spinRes, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestMobilityBelowBreakEvenFavorsSPIN(t *testing.T) {
 func TestClusteredWorkloadRuns(t *testing.T) {
 	sc := quickScenario(SPMS)
 	sc.Workload = Clustered
-	res, err := Run(sc)
+	res, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -226,11 +226,11 @@ func TestClusteredWorkloadRuns(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a, err := Run(quickScenario(SPMS))
+	a, err := RunWith(quickScenario(SPMS), RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	b, err := Run(quickScenario(SPMS))
+	b, err := RunWith(quickScenario(SPMS), RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	c := quickScenario(SPMS)
 	c.Seed = 2
-	other, err := Run(c)
+	other, err := RunWith(c, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -250,12 +250,12 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestChargeInitialDBF(t *testing.T) {
 	sc := quickScenario(SPMS)
-	without, err := Run(sc)
+	without, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	sc.ChargeInitialDBF = true
-	with, err := Run(sc)
+	with, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestRouteAlternativesAblation(t *testing.T) {
 	// case; the scenario knob exists for the ablation bench.
 	sc := quickScenario(SPMS)
 	sc.RouteAlternatives = 1
-	res, err := Run(sc)
+	res, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mac"
+	"repro/internal/network"
 	"repro/internal/packet"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -148,16 +150,10 @@ type Runner struct {
 	cache   map[Scenario][]Result // replicate vectors, keyed by the replicated scenario
 }
 
-// NewRunner builds a memoizing runner at the given quality with a worker
-// per core.
-func NewRunner(q Quality) *Runner {
-	return NewRunnerWorkers(q, 0)
-}
-
-// NewRunnerWorkers builds a memoizing runner with an explicit sweep pool
-// size; workers <= 0 means one per core. workers == 1 reproduces the serial
-// execution path (the output is byte-identical either way).
-func NewRunnerWorkers(q Quality, workers int) *Runner {
+// NewRunner builds a memoizing runner at the given quality with a sweep
+// pool of the given size; workers <= 0 means one per core. The output is
+// byte-identical at every pool size.
+func NewRunner(q Quality, workers int) *Runner {
 	return &Runner{q: q, workers: workers, cache: make(map[Scenario][]Result)}
 }
 
@@ -300,7 +296,7 @@ func Table1Rows() [][2]string {
 		{"Packet arrivals (Poisson mean)", workload.DefaultMeanArrival.String()},
 		{"Failure inter-arrival (exp mean)", failCfg.MeanInterArrival.String()},
 		{"MTTR (uniform repair mean)", failCfg.MTTR().String()},
-		{"Processing time", "20µs"},
+		{"Processing time", network.DefaultProc.String()},
 		{"Slot time", macCfg.SlotTime.String()},
 		{"Number of slots", fmt.Sprintf("%d", macCfg.NumSlots)},
 		{"MAC contention constant G", fmt.Sprintf("%.2f ms", macCfg.G)},
@@ -309,7 +305,7 @@ func Table1Rows() [][2]string {
 		{"Time of transmission", "0.05 ms/byte"},
 		{"Size of ADV / REQ", fmt.Sprintf("%d B / %d B", sizes.ADV, sizes.REQ)},
 		{"Size of DATA : REQ", fmt.Sprintf("%d (DATA = %d B)", sizes.DATA/sizes.REQ, sizes.DATA)},
-		{"TOutADV / TOutDAT", "1ms / 2.5ms"},
+		{"TOutADV / TOutDAT", core.DefaultTOutADV.String() + " / " + core.DefaultTOutDAT.String()},
 	}
 	return rows
 }

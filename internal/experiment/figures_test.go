@@ -72,7 +72,7 @@ func TestSimFiguresShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation figures are slow")
 	}
-	r := NewRunner(tiny())
+	r := NewRunner(tiny(), 0)
 
 	t.Run("fig6 energy ordering", func(t *testing.T) {
 		tab, err := r.Figure6()
@@ -163,7 +163,7 @@ func TestFigureReplications(t *testing.T) {
 	q.NodeCounts = []int{16}
 
 	q.Replications = 2
-	tab, err := NewRunner(q).Figure8()
+	tab, err := NewRunner(q, 0).Figure8()
 	if err != nil {
 		t.Fatalf("Figure8 replicated: %v", err)
 	}
@@ -188,12 +188,12 @@ func TestFigureReplications(t *testing.T) {
 	}
 
 	q.Replications = 1
-	one, err := NewRunner(q).Figure8()
+	one, err := NewRunner(q, 0).Figure8()
 	if err != nil {
 		t.Fatalf("Figure8 single: %v", err)
 	}
 	q.Replications = 0
-	zero, err := NewRunner(q).Figure8()
+	zero, err := NewRunner(q, 0).Figure8()
 	if err != nil {
 		t.Fatalf("Figure8 unreplicated: %v", err)
 	}

@@ -21,7 +21,7 @@ func TestProtocolsDeliverSameSets(t *testing.T) {
 				if wl == Clustered && p == Flooding {
 					continue // flooding ignores interest; counts differ by design
 				}
-				res, err := Run(Scenario{
+				res, err := RunWith(Scenario{
 					Protocol:       p,
 					Workload:       wl,
 					Nodes:          36,
@@ -29,7 +29,7 @@ func TestProtocolsDeliverSameSets(t *testing.T) {
 					PacketsPerNode: 2,
 					Seed:           5,
 					Drain:          3 * time.Second,
-				})
+				}, RunConfig{})
 				if err != nil {
 					t.Fatalf("%v: %v", p, err)
 				}
@@ -54,7 +54,7 @@ func TestProtocolsDeliverSameSets(t *testing.T) {
 func TestEnergyOrderingInvariant(t *testing.T) {
 	results := map[Protocol]Result{}
 	for _, p := range []Protocol{SPMS, SPIN, Flooding} {
-		res, err := Run(Scenario{
+		res, err := RunWith(Scenario{
 			Protocol:       p,
 			Workload:       AllToAll,
 			Nodes:          49,
@@ -62,7 +62,7 @@ func TestEnergyOrderingInvariant(t *testing.T) {
 			PacketsPerNode: 2,
 			Seed:           9,
 			Drain:          3 * time.Second,
-		})
+		}, RunConfig{})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -92,12 +92,12 @@ func TestSeedSweepStability(t *testing.T) {
 			Seed:           seed,
 			Drain:          2 * time.Second,
 		}
-		spms, err := Run(sc)
+		spms, err := RunWith(sc, RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d SPMS: %v", seed, err)
 		}
 		sc.Protocol = SPIN
-		spin, err := Run(sc)
+		spin, err := RunWith(sc, RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d SPIN: %v", seed, err)
 		}
@@ -116,15 +116,15 @@ func TestSeedSweepStability(t *testing.T) {
 func TestDuplicateEconomy(t *testing.T) {
 	dups := map[Protocol]uint64{}
 	for _, p := range []Protocol{SPMS, SPIN, Flooding} {
-		res, err := Run(Scenario{
+		res, err := RunWith(Scenario{
 			Protocol:       p,
 			Workload:       AllToAll,
 			Nodes:          25,
-			ZoneRadius:     30, // dense single zone: worst case for implosion
+			ZoneRadius:     30,
 			PacketsPerNode: 1,
 			Seed:           3,
 			Drain:          3 * time.Second,
-		})
+		}, RunConfig{})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

@@ -216,7 +216,7 @@ func TestRunEveryModelCombination(t *testing.T) {
 			sc.Placement = placement
 			sc.Mobility = true
 			sc.MobilityModel = mob
-			res, err := Run(sc)
+			res, err := RunWith(sc, RunConfig{})
 			if err != nil {
 				t.Fatalf("placement=%v mobility=%v: %v", placement, mob, err)
 			}
@@ -234,7 +234,7 @@ func TestRunEveryModelCombination(t *testing.T) {
 		sc.Drain = time.Second
 		sc.Failures = true
 		sc.FailureCfg.Model = fm
-		res, err := Run(sc)
+		res, err := RunWith(sc, RunConfig{})
 		if err != nil {
 			t.Fatalf("failure model %v: %v", fm, err)
 		}

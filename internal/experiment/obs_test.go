@@ -109,7 +109,7 @@ func TestTraceCoversAllKinds(t *testing.T) {
 // as no observer at all.
 func TestObserverPreservesResult(t *testing.T) {
 	sc := obsScenario()
-	plain, err := Run(sc)
+	plain, err := RunWith(sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

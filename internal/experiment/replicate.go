@@ -50,8 +50,8 @@ type ReplicatedSweep struct {
 	// trials. Order is the result order.
 	Points []Scenario
 
-	// Run executes one trial. Nil means the package-level Run. It must be
-	// safe to call concurrently.
+	// Run executes one trial. Nil means RunWith with the zero RunConfig.
+	// It must be safe to call concurrently.
 	Run func(Scenario) (Result, error)
 
 	// Workers bounds the pool, as in Sweep.

@@ -2,7 +2,7 @@
 // a declarative scenario grid executed by a bounded worker pool. Scenarios
 // are independent, fully seeded simulations — each worker goroutine builds
 // its own Scheduler — so parallel execution is deterministic: results are
-// reassembled in point order and are byte-identical to a serial run.
+// reassembled in point order and are byte-identical at every pool size.
 package experiment
 
 import (
@@ -55,9 +55,9 @@ type Sweep struct {
 	// Points are the scenarios to run. Order is the result order.
 	Points []Scenario
 
-	// Run executes one point. Nil means the package-level Run. It must be
-	// safe to call concurrently (Run is: every call builds a private
-	// scheduler, field, and RNG tree).
+	// Run executes one point. Nil means RunWith with the zero RunConfig.
+	// It must be safe to call concurrently (RunWith is: every call builds a
+	// private scheduler, field, and RNG tree).
 	Run func(Scenario) (Result, error)
 
 	// Workers bounds the pool. Zero or negative means runtime.GOMAXPROCS(0).
@@ -102,12 +102,13 @@ func (s Sweep) cancelled() bool {
 
 // Execute runs every point through the worker pool and returns results in
 // point order. On failure it returns the error of the lowest-indexed failing
-// point — the same error a serial sweep would surface first — wrapped with
-// that point's position and protocol.
+// point — the error a point-by-point run would surface first — wrapped with
+// that point's position and protocol. One worker claims the points strictly
+// in order, so Workers == 1 is the sequential execution.
 func (s Sweep) Execute() ([]Result, error) {
 	run := s.Run
 	if run == nil {
-		run = Run
+		run = func(sc Scenario) (Result, error) { return RunWith(sc, RunConfig{}) }
 	}
 	// The recovery boundary sits per trial, inside the worker, so sibling
 	// trials in the same worker goroutine keep running after a failure is
@@ -121,28 +122,6 @@ func (s Sweep) Execute() ([]Result, error) {
 		workers = len(s.Points)
 	}
 	results := make([]Result, len(s.Points))
-
-	if workers <= 1 {
-		for i, p := range s.Points {
-			if s.cancelled() {
-				return nil, ErrCancelled
-			}
-			if s.OnStart != nil {
-				s.OnStart(i)
-			}
-			r, err := run(p)
-			if err != nil {
-				return nil, fmt.Errorf("sweep point %d (%v): %w", i, p.Protocol, err)
-			}
-			results[i] = r
-			if s.OnPoint != nil {
-				if err := s.OnPoint(i, p, r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return results, nil
-	}
 
 	var (
 		next   atomic.Int64 // next unclaimed point index
@@ -170,7 +149,7 @@ func (s Sweep) Execute() ([]Result, error) {
 				if err != nil {
 					// Points are claimed in ascending order, so every point
 					// below i is finished or in flight when we set failed:
-					// the lowest failing index still wins, as serial would.
+					// the lowest failing index still wins.
 					failed.Store(true)
 					mu.Lock()
 					if errIdx < 0 || i < errIdx {

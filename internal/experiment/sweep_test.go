@@ -44,7 +44,7 @@ func TestSweepEmpty(t *testing.T) {
 
 // TestSweepFirstErrorWins checks that the reported error is the
 // lowest-indexed failing point regardless of completion order, matching
-// what a serial sweep surfaces first.
+// what a point-by-point run surfaces first.
 func TestSweepFirstErrorWins(t *testing.T) {
 	points := make([]Scenario, 16)
 	for i := range points {
@@ -265,9 +265,9 @@ func TestSweepPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestSweepCancelSerial pins serial cancellation: the check happens before
-// each claim, so closing Cancel during point k's delivery runs exactly
-// k+1 points and returns ErrCancelled.
+// TestSweepCancelSerial pins one-worker cancellation: the check happens
+// before each claim, so closing Cancel during point k's delivery runs
+// exactly k+1 points and returns ErrCancelled.
 func TestSweepCancelSerial(t *testing.T) {
 	points := make([]Scenario, 10)
 	for i := range points {
@@ -393,8 +393,8 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps are slow")
 	}
-	serial := NewRunnerWorkers(tiny(), 1)
-	parallel := NewRunnerWorkers(tiny(), 8)
+	serial := NewRunner(tiny(), 1)
+	parallel := NewRunner(tiny(), 8)
 	figures := []struct {
 		name string
 		run  func(*Runner) (Table, error)

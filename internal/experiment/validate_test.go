@@ -78,7 +78,7 @@ func TestScenarioValidate(t *testing.T) {
 func TestRunRejectsInvalid(t *testing.T) {
 	sc := validScenario()
 	sc.PacketsPerNode = -2
-	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "packets per node") {
+	if _, err := RunWith(sc, RunConfig{}); err == nil || !strings.Contains(err.Error(), "packets per node") {
 		t.Fatalf("Run(negative packets) = %v, want validation error", err)
 	}
 }

@@ -40,7 +40,7 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 		return nil, fmt.Errorf("flood: negative processing delay %v", proc)
 	}
 	s := &System{nw: nw, ledger: ledger, interest: interest, proc: proc}
-	nw.DeferProcessing(proc)
+	nw.SetProcessingDelay(proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
@@ -106,7 +106,7 @@ func (n *node) setSeen(it int) {
 var _ network.Receiver = (*node)(nil)
 
 // HandlePacket runs the flooding reaction. The processing delay is applied
-// by the network's batched deferred dispatch (DeferProcessing in NewSystem),
+// by the network's batched dispatch (SetProcessingDelay in NewSystem),
 // which also re-checks liveness before calling here.
 func (n *node) HandlePacket(p packet.Packet) {
 	if p.Kind != packet.DATA {

@@ -1,7 +1,7 @@
 package network
 
-// Tests for deferred (batched) delivery: DeferProcessing replaces the old
-// per-receiver After(Proc) closures with one arg-event per transmission, and
+// Tests for batched delivery: the network replaces the old per-receiver
+// After(Proc) closures with one arg-event per transmission, and
 // these pin the semantics that replacement must preserve — handler timing at
 // completion+proc, receiver order, the silent skip of receivers that die
 // between delivery and processing — plus the allocation-free steady state
@@ -29,11 +29,11 @@ func (r *timedRecorder) HandlePacket(p packet.Packet) {
 }
 
 // deferredFixture rebinds the standard 3-node chain fixture with
-// time-logging receivers and switches the network to deferred mode.
+// time-logging receivers and sets the network's processing delay.
 func deferredFixture(t *testing.T, proc time.Duration) (*fixture, []*timedRecorder, *[]packet.NodeID) {
 	t.Helper()
 	fx := newFixture(t, noBackoff())
-	fx.nw.DeferProcessing(proc)
+	fx.nw.SetProcessingDelay(proc)
 	order := new([]packet.NodeID)
 	recs := make([]*timedRecorder, 3)
 	for i := range recs {
@@ -148,7 +148,7 @@ func TestDeferredReentrantSendGrowsArenaSafely(t *testing.T) {
 	// Handlers Sending mid-batch append new flights; the batch must keep
 	// iterating its own (possibly relocated) slot without losing receivers.
 	fx := newFixture(t, noBackoff())
-	fx.nw.DeferProcessing(time.Millisecond)
+	fx.nw.SetProcessingDelay(time.Millisecond)
 	fwds := make([]*forwarder, 3)
 	for i := range fwds {
 		fwds[i] = &forwarder{fx: fx, id: packet.NodeID(i)}
@@ -183,7 +183,7 @@ func (r *countingRecorder) HandlePacket(packet.Packet) { r.n++ }
 // per-packet closures this design replaced.
 func TestBatchedDispatchAllocFree(t *testing.T) {
 	fx := newFixture(t, noBackoff())
-	fx.nw.DeferProcessing(time.Millisecond)
+	fx.nw.SetProcessingDelay(time.Millisecond)
 	recs := make([]*countingRecorder, 3)
 	for i := range recs {
 		recs[i] = &countingRecorder{}

@@ -86,6 +86,10 @@ type Config struct {
 	CarrierSense bool
 }
 
+// DefaultProc is Table 1's per-packet processing time, the delay the
+// protocol constructors pass to SetProcessingDelay.
+const DefaultProc = 20 * time.Microsecond
+
 // DefaultConfig returns Table 1 packet sizes and the §4 G·n² contention
 // MAC, the configuration every figure reproduction uses.
 func DefaultConfig() Config {
@@ -93,11 +97,11 @@ func DefaultConfig() Config {
 }
 
 // flight is one in-flight transmission in the pooled arena: the packet on
-// the air and, in deferred-processing mode, the receivers it reached alive
-// at delivery time (the batch the T+Proc dispatch walks). Slots are
-// recycled through a free list, so the steady-state transmission cycle —
-// Send → complete → batch-dispatch — allocates nothing once the arena and
-// each slot's dsts buffer have grown to the working set.
+// the air and the receivers it reached alive at delivery time (the batch
+// the T+proc dispatch walks). Slots are recycled through a free list, so
+// the steady-state transmission cycle — Send → complete → batch-dispatch —
+// allocates nothing once the arena and each slot's dsts buffer have grown
+// to the working set.
 type flight struct {
 	p    packet.Packet
 	dsts []packet.NodeID
@@ -127,13 +131,10 @@ type Network struct {
 	completeFn  sim.ArgHandler
 	deliverFn   sim.ArgHandler
 
-	// Deferred processing (DeferProcessing): when enabled, a completed
-	// transmission charges energy and traces per receiver at delivery time
-	// T as always, but runs the protocol handlers of all its receivers in
-	// one batched event at T+proc — one heap event per transmission instead
-	// of one per receiver.
-	deferred bool
-	proc     time.Duration
+	// proc is the receivers' processing delay (SetProcessingDelay): the
+	// gap between a transmission's completion and its batched handler
+	// event.
+	proc time.Duration
 
 	energy *metrics.EnergyAccount
 	count  *metrics.Counters
@@ -178,24 +179,22 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 	return nw, nil
 }
 
-// DeferProcessing switches delivery into batched mode: every receiver of a
-// completed transmission still pays energy, tracing, and liveness checks
-// individually at delivery time T, but the protocol handlers run together
-// in a single event at T+proc (with a per-receiver liveness re-check, since
-// a node can fail between delivery and processing). This replaces the
-// protocols' historical per-receiver After(Proc) closure — one pooled heap
-// event per transmission instead of one allocated closure per receiver —
-// and preserves event order exactly: the per-receiver events it replaces
-// were scheduled back-to-back with consecutive sequence numbers, so nothing
-// could interleave between them anyway.
+// SetProcessingDelay sets the receivers' processing delay, zero until set.
+// Every receiver of a completed transmission pays energy, tracing, and
+// liveness checks individually at delivery time T, but the protocol
+// handlers run together in a single event at T+proc — their own event even
+// when proc is zero — with a per-receiver liveness re-check, since a node
+// can fail between delivery and processing. One pooled heap event per
+// transmission instead of one allocated closure per receiver preserves
+// event order exactly: per-receiver events would be scheduled back-to-back
+// with consecutive sequence numbers, so nothing could interleave between
+// them anyway.
 //
-// Protocol constructors call this with their processing delay; networks
-// driven directly by tests keep the synchronous immediate-dispatch path.
-func (nw *Network) DeferProcessing(proc time.Duration) {
+// Protocol constructors call this with their processing delay.
+func (nw *Network) SetProcessingDelay(proc time.Duration) {
 	if proc < 0 {
 		panic(fmt.Sprintf("network: negative processing delay %v", proc))
 	}
-	nw.deferred = true
 	nw.proc = proc
 }
 
@@ -338,8 +337,7 @@ func (nw *Network) Send(p packet.Packet) {
 
 // onComplete finishes the transmission in arena slot arg: verifies the
 // sender survived the airtime, charges energies, and delivers to the
-// recipient set. In deferred mode the recipients' handlers run later in one
-// batched event; otherwise they run here, synchronously, in receiver order.
+// recipient set, whose handlers then run in one batched event at +proc.
 func (nw *Network) onComplete(arg uint64) {
 	p := nw.flights[arg].p
 	if !nw.alive[p.Src] {
@@ -367,9 +365,7 @@ func (nw *Network) onComplete(arg uint64) {
 		}
 		nw.deliver(arg, p, p.Dst)
 	}
-	// Re-take the slot pointer: synchronous handlers may have Sent, growing
-	// the arena and moving its backing array.
-	if fl := &nw.flights[arg]; nw.deferred && len(fl.dsts) > 0 {
+	if len(nw.flights[arg].dsts) > 0 {
 		nw.sched.AtArg(nw.sched.Now()+nw.proc, nw.deliverFn, arg)
 		return
 	}
@@ -377,8 +373,8 @@ func (nw *Network) onComplete(arg uint64) {
 }
 
 // deliver records the delivery of p to dst at the current (completion)
-// time: liveness check, receive energy, trace. In deferred mode the handler
-// call is queued on the flight's batch; otherwise it runs immediately.
+// time: liveness check, receive energy, trace. The handler call is queued
+// on the flight's batch.
 func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
 	if !nw.alive[dst] {
 		nw.count.Drops++
@@ -387,16 +383,8 @@ func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
 	}
 	nw.energy.AddRx(dst, nw.field.Model().RxEnergy(p.Bytes))
 	nw.emit(TraceEvent{Kind: TraceDeliver, Packet: p, Node: dst})
-	if nw.deferred {
-		fl := &nw.flights[arg]
-		fl.dsts = append(fl.dsts, dst)
-		return
-	}
-	h := nw.handlers[dst]
-	if h == nil {
-		panic(fmt.Sprintf("network: node %d has no bound receiver", dst))
-	}
-	h.HandlePacket(p)
+	fl := &nw.flights[arg]
+	fl.dsts = append(fl.dsts, dst)
 }
 
 // onDeliverBatch runs the protocol handlers of every receiver collected at

@@ -68,7 +68,8 @@ func (r *ProgressRegistry) Register(p *CampaignProgress) (remove func()) {
 }
 
 // Snapshots returns one snapshot per registered tracker, in registration
-// order.
+// order: the one schema /debug/progress and the "campaign" expvar serve,
+// a JSON array whatever the number of campaigns ([] when none runs).
 func (r *ProgressRegistry) Snapshots() []ProgressSnapshot {
 	if r == nil {
 		return nil
@@ -87,33 +88,16 @@ func (r *ProgressRegistry) Snapshots() []ProgressSnapshot {
 	return out
 }
 
-// view renders the registry for the debug endpoints, preserving the
-// pre-registry wire shape for the common cases: an empty registry is the
-// zero snapshot object and a single campaign is its snapshot object (what
-// the CLI's consumers always saw); only multiple concurrent campaigns —
-// the daemon case — produce a JSON array.
-func (r *ProgressRegistry) view() any {
-	snaps := r.Snapshots()
-	switch len(snaps) {
-	case 0:
-		return ProgressSnapshot{}
-	case 1:
-		return snaps[0]
-	default:
-		return snaps
-	}
-}
-
 func init() {
 	expvar.Publish("campaign", expvar.Func(func() any {
-		return DefaultRegistry.view()
+		return DefaultRegistry.Snapshots()
 	}))
 }
 
 // DebugMux returns a mux serving the debug endpoints over reg (nil means
 // DefaultRegistry):
 //
-//	/debug/progress  campaign progress (JSON: snapshot, or array when >1)
+//	/debug/progress  campaign progress (JSON array of snapshots)
 //	/debug/vars      expvar (memstats, cmdline, campaign progress)
 //	/debug/pprof/    full net/http/pprof suite (profile, heap, trace, …)
 func DebugMux(reg *ProgressRegistry) *http.ServeMux {
@@ -125,7 +109,7 @@ func DebugMux(reg *ProgressRegistry) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(reg.view())
+		enc.Encode(reg.Snapshots())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	// net/http/pprof self-registers only on http.DefaultServeMux; an
@@ -140,7 +124,7 @@ func DebugMux(reg *ProgressRegistry) *http.ServeMux {
 
 // DebugServer is a live debug/ops HTTP endpoint. Endpoints:
 //
-//	/debug/progress  campaign progress snapshot (JSON)
+//	/debug/progress  campaign progress (JSON array of snapshots)
 //	/debug/vars      expvar (memstats, cmdline, campaign progress)
 //	/debug/pprof/    full net/http/pprof suite (profile, heap, trace, …)
 type DebugServer struct {
@@ -151,8 +135,8 @@ type DebugServer struct {
 
 // StartDebugServer binds addr (e.g. ":6060"; ":0" picks a free port) and
 // serves the debug endpoints in a background goroutine until Close.
-// progress may be nil: the endpoints still serve, reporting an empty
-// campaign. A non-nil progress is registered in DefaultRegistry for the
+// progress may be nil: the endpoints still serve, reporting no
+// campaigns. A non-nil progress is registered in DefaultRegistry for the
 // server's lifetime.
 func StartDebugServer(addr string, progress *CampaignProgress) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)

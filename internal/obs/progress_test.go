@@ -166,12 +166,12 @@ func TestDebugServer(t *testing.T) {
 		return body
 	}
 
-	var snap ProgressSnapshot
-	if err := json.Unmarshal(get("/debug/progress"), &snap); err != nil {
-		t.Fatalf("/debug/progress not JSON: %v", err)
+	var snaps []ProgressSnapshot
+	if err := json.Unmarshal(get("/debug/progress"), &snaps); err != nil {
+		t.Fatalf("/debug/progress not a JSON array: %v", err)
 	}
-	if snap.Name != "dbg" || snap.Done != 1 || snap.Total != 4 {
-		t.Fatalf("/debug/progress: %+v", snap)
+	if len(snaps) != 1 || snaps[0].Name != "dbg" || snaps[0].Done != 1 || snaps[0].Total != 4 {
+		t.Fatalf("/debug/progress: %+v", snaps)
 	}
 
 	var vars map[string]json.RawMessage
@@ -185,11 +185,11 @@ func TestDebugServer(t *testing.T) {
 	if !ok {
 		t.Fatal("/debug/vars missing campaign progress")
 	}
-	var viaExpvar ProgressSnapshot
+	var viaExpvar []ProgressSnapshot
 	if err := json.Unmarshal(campaignVar, &viaExpvar); err != nil {
-		t.Fatalf("campaign expvar not a snapshot: %v", err)
+		t.Fatalf("campaign expvar not a snapshot array: %v", err)
 	}
-	if viaExpvar.Name != "dbg" {
+	if len(viaExpvar) != 1 || viaExpvar[0].Name != "dbg" {
 		t.Fatalf("campaign expvar: %+v", viaExpvar)
 	}
 
@@ -217,11 +217,11 @@ func TestDebugServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap ProgressSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	var snaps []ProgressSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snaps); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Name != "two" {
-		t.Fatalf("restarted server serves %q, want \"two\"", snap.Name)
+	if len(snaps) != 1 || snaps[0].Name != "two" {
+		t.Fatalf("restarted server serves %+v, want only \"two\"", snaps)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 )
@@ -24,54 +25,42 @@ func progressView(t *testing.T, reg *ProgressRegistry) []byte {
 	return raw
 }
 
-// TestRegistryViewShapes locks the /debug/progress wire shape: a single
-// registered campaign serves its snapshot as a plain object (what every
-// pre-registry consumer parsed), and only multiple concurrent campaigns —
-// the service daemon case — switch the payload to an array.
+// TestRegistryViewShapes locks the /debug/progress wire shape: one JSON
+// array of snapshots in registration order, whatever the number of
+// campaigns — [] when idle, never null and never a bare object.
 func TestRegistryViewShapes(t *testing.T) {
 	reg := NewProgressRegistry()
-
-	// Empty: a zero snapshot object, not null, not an array.
-	var snap ProgressSnapshot
-	if err := json.Unmarshal(progressView(t, reg), &snap); err != nil {
-		t.Fatalf("empty registry view is not a snapshot object: %v", err)
+	names := func() []string {
+		t.Helper()
+		raw := progressView(t, reg)
+		var snaps []ProgressSnapshot
+		if err := json.Unmarshal(raw, &snaps); err != nil || snaps == nil {
+			t.Fatalf("view %s is not a JSON array (err %v)", raw, err)
+		}
+		out := make([]string, len(snaps))
+		for i, s := range snaps {
+			out[i] = s.Name
+		}
+		return out
 	}
-	if snap.Name != "" || snap.Total != 0 {
-		t.Fatalf("empty view = %+v", snap)
-	}
-
-	// One tracker: its snapshot, as a plain object.
-	a := NewCampaignProgress("alpha", 4)
-	removeA := reg.Register(a)
-	if err := json.Unmarshal(progressView(t, reg), &snap); err != nil {
-		t.Fatalf("single-campaign view is not a snapshot object: %v", err)
-	}
-	if snap.Name != "alpha" || snap.Total != 4 {
-		t.Fatalf("single view = %+v, want alpha/4", snap)
-	}
-
-	// Two trackers: an array, registration order.
-	b := NewCampaignProgress("beta", 7)
-	removeB := reg.Register(b)
-	var snaps []ProgressSnapshot
-	if err := json.Unmarshal(progressView(t, reg), &snaps); err != nil {
-		t.Fatalf("multi-campaign view is not an array: %v", err)
-	}
-	if len(snaps) != 2 || snaps[0].Name != "alpha" || snaps[1].Name != "beta" {
-		t.Fatalf("multi view = %+v, want [alpha beta]", snaps)
+	check := func(want ...string) {
+		t.Helper()
+		if got := names(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("view = %v, want %v", got, want)
+		}
 	}
 
-	// Unregistering drops back to the single-object shape; removal is
-	// idempotent.
+	check()
+	removeA := reg.Register(NewCampaignProgress("alpha", 4))
+	check("alpha")
+	removeB := reg.Register(NewCampaignProgress("beta", 7))
+	check("alpha", "beta")
+	// Removal is idempotent.
 	removeA()
 	removeA()
-	if err := json.Unmarshal(progressView(t, reg), &snap); err != nil {
-		t.Fatalf("view after unregister is not a snapshot object: %v", err)
-	}
-	if snap.Name != "beta" {
-		t.Fatalf("view after unregister = %+v, want beta", snap)
-	}
+	check("beta")
 	removeB()
+	check()
 }
 
 // TestRegistryNilSafety: nil registries and nil trackers register as

@@ -18,7 +18,7 @@ func TestBuildGraphWorkersMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	f := gridField(t, 100, 8, 20)
-	serial := BuildGraph(f)
+	serial := BuildGraphWorkers(f, 1)
 	for _, workers := range []int{2, 4, 7} {
 		g := BuildGraphWorkers(gridField(t, 100, 8, 20), workers)
 		if g.N() != serial.N() {
@@ -43,9 +43,9 @@ func TestComputeWorkersMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	f := gridField(t, 100, 8, 20)
-	g := BuildGraph(f)
+	g := BuildGraphWorkers(f, 1)
 	const k = 3
-	serial := Compute(g, k)
+	serial := ComputeWorkers(g, k, 1)
 	for _, workers := range []int{2, 4, 7} {
 		par := ComputeWorkers(g, k, workers)
 		if par.Rounds() != serial.Rounds() || par.Broadcasts() != serial.Broadcasts() {

@@ -267,7 +267,7 @@ func TestComputeMatchesDenseReference(t *testing.T) {
 					if step > 0 {
 						f.RelocateFraction(0.1, rng)
 					}
-					g := BuildGraph(f)
+					g := BuildGraphWorkers(f, 1)
 					want := refCompute(g, 3, 1)
 					for k := 1; k <= 3; k++ {
 						assertMatchesReference(t, ComputeWorkers(g, k, 1), want, k)

@@ -50,14 +50,9 @@ type Graph struct {
 	adj [][]Edge
 }
 
-// BuildGraph derives the link graph from current node positions: an edge
-// exists between every pair of zone neighbors, weighted by the minimum
-// power to cross it.
-func BuildGraph(f *topo.Field) *Graph {
-	return BuildGraphWorkers(f, 1)
-}
-
-// BuildGraphWorkers is BuildGraph over up to workers goroutines. The field's
+// BuildGraphWorkers derives the link graph from current node positions,
+// over up to workers goroutines: an edge exists between every pair of zone
+// neighbors, weighted by the minimum power to cross it. The field's
 // neighbor caches are warmed first (topo.Field.WarmAll), after which each
 // node's adjacency row is a pure function of positions written only by its
 // own worker — the graph is identical for every worker count.
@@ -121,12 +116,6 @@ type Tables struct {
 	perNodeBcasts []int
 }
 
-// Compute runs synchronous DBF to convergence and derives k-alternative
-// routing tables. k < 1 is treated as DefaultAlternatives.
-func Compute(g *Graph, k int) *Tables {
-	return ComputeWorkers(g, k, 1)
-}
-
 // vecEntry is one distance-vector entry as a node broadcasts it.
 type vecEntry struct {
 	dest int32
@@ -134,7 +123,9 @@ type vecEntry struct {
 	cost float64
 }
 
-// ComputeWorkers is Compute over up to workers goroutines.
+// ComputeWorkers runs synchronous DBF to convergence over up to workers
+// goroutines and derives k-alternative routing tables. k < 1 is treated as
+// DefaultAlternatives.
 //
 // Each round runs as the triggered updates of a real distance-vector
 // protocol: a node broadcasts exactly when it changed some entry in the

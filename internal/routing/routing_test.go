@@ -80,7 +80,7 @@ func (h *distHeap) Pop() any {
 
 func TestBuildGraphSymmetric(t *testing.T) {
 	f := gridField(t, 25, 5, 12)
-	g := BuildGraph(f)
+	g := BuildGraphWorkers(f, 1)
 	if g.N() != 25 {
 		t.Fatalf("N=%d, want 25", g.N())
 	}
@@ -105,7 +105,7 @@ func TestBuildGraphSymmetric(t *testing.T) {
 
 func TestBuildGraphWeightsAreMinimumPower(t *testing.T) {
 	f := gridField(t, 9, 5, 12)
-	g := BuildGraph(f)
+	g := BuildGraphWorkers(f, 1)
 	m := f.Model()
 	for i := 0; i < g.N(); i++ {
 		for _, e := range g.Neighbors(packet.NodeID(i)) {
@@ -123,8 +123,8 @@ func TestBuildGraphWeightsAreMinimumPower(t *testing.T) {
 
 func TestDBFMatchesDijkstraOnGrid(t *testing.T) {
 	f := gridField(t, 49, 5, 15)
-	g := BuildGraph(f)
-	tbl := Compute(g, 2)
+	g := BuildGraphWorkers(f, 1)
+	tbl := ComputeWorkers(g, 2, 1)
 	for src := 0; src < g.N(); src++ {
 		oracle := dijkstra(g, packet.NodeID(src))
 		for dst := 0; dst < g.N(); dst++ {
@@ -160,8 +160,8 @@ func TestDBFMatchesDijkstraOnRandomFieldsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g := BuildGraph(f)
-		tbl := Compute(g, 2)
+		g := BuildGraphWorkers(f, 1)
+		tbl := ComputeWorkers(g, 2, 1)
 		for src := 0; src < g.N(); src++ {
 			oracle := dijkstra(g, packet.NodeID(src))
 			for dst := 0; dst < g.N(); dst++ {
@@ -193,7 +193,7 @@ func TestMultiHopCheaperThanDirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChainField: %v", err)
 	}
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	cost, ok := tbl.Cost(0, 2)
 	if !ok {
 		t.Fatal("no route 0->2")
@@ -211,7 +211,7 @@ func TestMultiHopCheaperThanDirect(t *testing.T) {
 
 func TestRoutesDistinctNextHops(t *testing.T) {
 	f := gridField(t, 25, 5, 15)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	for src := 0; src < 25; src++ {
 		for dst := 0; dst < 25; dst++ {
 			if src == dst {
@@ -233,9 +233,9 @@ func TestRoutesDistinctNextHops(t *testing.T) {
 
 func TestRoutesRespectK(t *testing.T) {
 	f := gridField(t, 25, 5, 15)
-	g := BuildGraph(f)
+	g := BuildGraphWorkers(f, 1)
 	for _, k := range []int{1, 2, 3} {
-		tbl := Compute(g, k)
+		tbl := ComputeWorkers(g, k, 1)
 		maxSeen := 0
 		for src := 0; src < 25; src++ {
 			for dst := 0; dst < 25; dst++ {
@@ -252,7 +252,7 @@ func TestRoutesRespectK(t *testing.T) {
 		}
 	}
 	// k<1 falls back to the default.
-	tbl := Compute(g, 0)
+	tbl := ComputeWorkers(g, 0, 1)
 	if got := len(tbl.Routes(0, 24)); got > DefaultAlternatives {
 		t.Fatalf("default k exceeded: %d", got)
 	}
@@ -260,7 +260,7 @@ func TestRoutesRespectK(t *testing.T) {
 
 func TestPathFollowsNextHops(t *testing.T) {
 	f := gridField(t, 49, 5, 20)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	for src := 0; src < 49; src += 7 {
 		for dst := 0; dst < 49; dst += 5 {
 			s, d := packet.NodeID(src), packet.NodeID(dst)
@@ -287,7 +287,7 @@ func TestPathFollowsNextHops(t *testing.T) {
 			var sum float64
 			for i := 0; i+1 < len(path); i++ {
 				found := false
-				for _, e := range BuildGraph(f).Neighbors(path[i]) {
+				for _, e := range BuildGraphWorkers(f, 1).Neighbors(path[i]) {
 					if e.To == path[i+1] {
 						sum += e.WeightMW
 						found = true
@@ -310,7 +310,7 @@ func TestSubpathOptimality(t *testing.T) {
 	// Every suffix of a shortest path is itself shortest — this is what
 	// makes hop-by-hop forwarding by per-node tables consistent.
 	f := gridField(t, 36, 5, 18)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	for src := 0; src < 36; src += 4 {
 		for dst := 0; dst < 36; dst += 3 {
 			if src == dst {
@@ -323,7 +323,7 @@ func TestSubpathOptimality(t *testing.T) {
 			}
 			full, _ := tbl.Cost(s, d)
 			var consumed float64
-			g := BuildGraph(f)
+			g := BuildGraphWorkers(f, 1)
 			for i := 1; i < len(path)-1; i++ {
 				for _, e := range g.Neighbors(path[i-1]) {
 					if e.To == path[i] {
@@ -353,7 +353,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewChainField: %v", err)
 	}
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	if _, ok := tbl.Cost(0, 1); ok {
 		t.Fatal("found route across disconnected graph")
 	}
@@ -372,7 +372,7 @@ func TestConvergenceRoundsBounded(t *testing.T) {
 	// DBF converges in O(diameter) rounds: for a 7×7 grid with 1-hop links
 	// the hop diameter is 12, so rounds must be ≤ 12 + 2.
 	f := gridField(t, 49, 5, 6)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	if tbl.Rounds() > 14 {
 		t.Fatalf("Rounds=%d, want ≤ 14", tbl.Rounds())
 	}
@@ -386,7 +386,7 @@ func TestConvergenceRoundsBounded(t *testing.T) {
 
 func TestNodeBroadcastsSumToTotal(t *testing.T) {
 	f := gridField(t, 25, 5, 12)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	sum := 0
 	for i := 0; i < 25; i++ {
 		sum += tbl.NodeBroadcasts(packet.NodeID(i))
@@ -398,7 +398,7 @@ func TestNodeBroadcastsSumToTotal(t *testing.T) {
 
 func TestChargeConvergenceEnergy(t *testing.T) {
 	f := gridField(t, 25, 5, 12)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	acct := metrics.NewEnergyAccount(25)
 	ChargeConvergenceEnergy(tbl, f, packet.DefaultSizes(), acct)
 	if acct.Total() <= 0 {
@@ -429,8 +429,8 @@ func TestChargeConvergenceEnergy(t *testing.T) {
 
 func TestComputeDeterministic(t *testing.T) {
 	f := gridField(t, 36, 5, 15)
-	g := BuildGraph(f)
-	a, b := Compute(g, 2), Compute(g, 2)
+	g := BuildGraphWorkers(f, 1)
+	a, b := ComputeWorkers(g, 2, 1), ComputeWorkers(g, 2, 1)
 	for src := 0; src < 36; src++ {
 		for dst := 0; dst < 36; dst++ {
 			if src == dst {
@@ -452,7 +452,7 @@ func TestComputeDeterministic(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	f := gridField(t, 4, 5, 12)
-	tbl := Compute(BuildGraph(f), 2)
+	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -460,7 +460,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		{"Routes", func() { tbl.Routes(9, 0) }},
 		{"Cost", func() { tbl.Cost(0, -1) }},
 		{"NodeBroadcasts", func() { tbl.NodeBroadcasts(7) }},
-		{"GraphNeighbors", func() { BuildGraph(f).Neighbors(11) }},
+		{"GraphNeighbors", func() { BuildGraphWorkers(f, 1).Neighbors(11) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

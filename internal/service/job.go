@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/checkpoint"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 )
@@ -155,35 +154,19 @@ func (w lineWriter) Write(p []byte) (int, error) {
 // output for the same range).
 func (j *Job) run(cfg Config) {
 	sink := campaign.NewJSONLSink(lineWriter{j})
-	opts := campaign.RunOptions{
+	_, err := j.camp.Run(campaign.RunOptions{
 		Workers:    cfg.Workers,
 		SimWorkers: cfg.SimWorkers,
 		Sinks:      []campaign.Sink{sink},
 		Progress:   j.progress,
 		Retry:      cfg.Retry,
 		Run:        cfg.Run,
+		Checkpoint: j.dir,
+		Resume:     j.resume,
 		Cache:      cfg.Cache,
 		Cancel:     j.cancel,
 		Range:      &j.rng,
-	}
-	if j.dir != "" {
-		if j.resume {
-			completed, err := j.camp.LoadCheckpoint(j.dir)
-			if err != nil {
-				j.setState(JobFailed, err.Error())
-				return
-			}
-			opts.Completed = completed
-		}
-		journal, err := checkpoint.OpenJournal(j.dir, j.resume)
-		if err != nil {
-			j.setState(JobFailed, err.Error())
-			return
-		}
-		defer journal.Close()
-		opts.Journal = journal
-	}
-	_, err := j.camp.Run(opts)
+	})
 	switch {
 	case err == nil:
 		j.setState(JobDone, "")

@@ -31,12 +31,9 @@ type Config struct {
 	PendingTimeout time.Duration
 }
 
-// DefaultProc is Table 1's processing time.
-const DefaultProc = 20 * time.Microsecond
-
 // DefaultConfig returns Table 1 parameters with a derived pending timeout.
 func DefaultConfig() Config {
-	return Config{Proc: DefaultProc}
+	return Config{Proc: network.DefaultProc}
 }
 
 // System is one SPIN network: all per-node protocol instances plus shared
@@ -67,7 +64,7 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 		cfg.PendingTimeout = derivePendingTimeout(nw, cfg.Proc)
 	}
 	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg}
-	nw.DeferProcessing(cfg.Proc)
+	nw.SetProcessingDelay(cfg.Proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
@@ -93,11 +90,10 @@ func derivePendingTimeout(nw *network.Network, proc time.Duration) time.Duration
 			maxContenders = c
 		}
 	}
-	// Full-window backoff bound via the expected-delay helper is not
-	// available here without the CSMA instance; approximate with the
-	// quadratic term from the shared config by sending through the network
-	// is overkill. Use a conservative closed form: the Table 1 MAC G=0.01 ms
-	// term dominates; reconstructing it here keeps spin decoupled from mac.
+	// The network does not expose its CSMA instance, so the full-window
+	// backoff bound is not available here. Use a conservative closed form
+	// instead: the Table 1 MAC's G·n² term (G = 0.01 ms) dominates, and
+	// reconstructing it here keeps spin decoupled from mac.
 	const gMS = 0.01
 	access := time.Duration(gMS * float64(maxContenders) * float64(maxContenders) * float64(time.Millisecond))
 	sz := nw.Sizes()
@@ -171,7 +167,7 @@ var _ network.Receiver = (*node)(nil)
 // HandlePacket runs the protocol reaction to p. The paper's explicit Tproc
 // term ("this eliminates the unrealistic simplification in the SPIN
 // simulations where the data is taken to be processed instantaneously") is
-// applied by the network's batched deferred dispatch (DeferProcessing in
+// applied by the network's batched dispatch (SetProcessingDelay in
 // NewSystem), which also re-checks liveness before calling here.
 func (n *node) HandlePacket(p packet.Packet) {
 	it := n.sys.ledger.Index(p.Meta)
