@@ -3,11 +3,12 @@
 // for the design choices DESIGN.md calls out and micro-benchmarks for the
 // hot substrates.
 //
-// Figure benches run the Quick quality (2 packets/node) so a full -bench=.
-// pass completes in minutes; `go run ./cmd/figures` regenerates the
-// paper-scale versions. Each bench reports the figure's headline numbers as
-// custom metrics (µJ/packet, ms of delay) so the benchmark log doubles as a
-// results table.
+// Figure benches run internal/figures at the Quick quality (2
+// packets/node), through the same campaign.Run path as cmd/figures, so a
+// full -bench=. pass completes in minutes; `go run ./cmd/figures`
+// regenerates the paper-scale versions. Each bench reports the figure's
+// headline numbers as custom metrics (µJ/packet, ms of delay) so the
+// benchmark log doubles as a results table.
 package repro
 
 import (
@@ -17,9 +18,11 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dissem"
 	"repro/internal/experiment"
+	"repro/internal/figures"
 	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/packet"
@@ -31,7 +34,7 @@ import (
 
 // reportLastRow attaches the final sweep point's series values as custom
 // benchmark metrics.
-func reportLastRow(b *testing.B, t experiment.Table, unit string) {
+func reportLastRow(b *testing.B, t figures.Table, unit string) {
 	b.Helper()
 	if len(t.Rows) == 0 {
 		b.Fatal("empty table")
@@ -47,7 +50,7 @@ func reportLastRow(b *testing.B, t experiment.Table, unit string) {
 func BenchmarkFig3AnalyticDelayRatio(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		t := experiment.Figure3()
+		t := figures.Figure3()
 		if len(t.Rows) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -64,20 +67,19 @@ func BenchmarkFig3AnalyticDelayRatio(b *testing.B) {
 func BenchmarkFig5AnalyticEnergyRatio(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		t := experiment.Figure5()
+		t := figures.Figure5()
 		last = t.Rows[len(t.Rows)-1].Cells[0]
 	}
 	b.ReportMetric(last, "ratio_at_k30")
 }
 
-// benchFigure regenerates one figure per iteration through the parallel
-// sweep engine (NewRunner defaults to a worker per core).
-func benchFigure(b *testing.B, run func(*experiment.Runner) (experiment.Table, error), unit string) {
+// benchFigure regenerates one figure per iteration through campaign.Run
+// (a worker per core, no cache, so every iteration simulates).
+func benchFigure(b *testing.B, id, unit string) {
 	b.Helper()
-	var table experiment.Table
+	var table figures.Table
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick(), 0)
-		t, err := run(r)
+		t, err := figures.Figure(id, figures.Quick(), campaign.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +93,7 @@ func benchFigure(b *testing.B, run func(*experiment.Runner) (experiment.Table, e
 // tables are byte-identical across pool sizes (asserted against serial), so
 // the only difference is wall clock.
 func BenchmarkSweepWorkers(b *testing.B) {
-	serial, err := experiment.NewRunner(experiment.Quick(), 1).Figure8()
+	serial, err := figures.Figure("fig8", figures.Quick(), campaign.RunOptions{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,8 +106,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		seen[w] = true
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiment.NewRunner(experiment.Quick(), w)
-				t, err := r.Figure8()
+				t, err := figures.Figure("fig8", figures.Quick(), campaign.RunOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,8 +118,8 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 }
 
-// runSweep executes scenarios through the same parallel sweep engine the
-// figure runners use and returns results in point order.
+// runSweep executes scenarios through the parallel sweep engine under
+// every campaign and returns results in point order.
 func runSweep(b *testing.B, points ...experiment.Scenario) []experiment.Result {
 	b.Helper()
 	res, err := (experiment.Sweep{Points: points}).Execute()
@@ -130,54 +131,53 @@ func runSweep(b *testing.B, points ...experiment.Scenario) []experiment.Result {
 
 // BenchmarkFig6EnergyVsNodes regenerates Figure 6 (energy vs node count).
 func BenchmarkFig6EnergyVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure6, "uJ")
+	benchFigure(b, "fig6", "uJ")
 }
 
 // BenchmarkFig7EnergyVsRadius regenerates Figure 7 (energy vs radius).
 func BenchmarkFig7EnergyVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure7, "uJ")
+	benchFigure(b, "fig7", "uJ")
 }
 
 // BenchmarkFig8DelayVsNodes regenerates Figure 8 (delay vs node count).
 func BenchmarkFig8DelayVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure8, "ms")
+	benchFigure(b, "fig8", "ms")
 }
 
 // BenchmarkFig9DelayVsRadius regenerates Figure 9 (delay vs radius).
 func BenchmarkFig9DelayVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure9, "ms")
+	benchFigure(b, "fig9", "ms")
 }
 
 // BenchmarkFig10FailureDelayVsNodes regenerates Figure 10 (delay vs node
 // count under transient failures; SPMS/F-SPMS/SPIN/F-SPIN).
 func BenchmarkFig10FailureDelayVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure10, "ms")
+	benchFigure(b, "fig10", "ms")
 }
 
 // BenchmarkFig11FailureDelayVsRadius regenerates Figure 11 (delay vs radius
 // under transient failures).
 func BenchmarkFig11FailureDelayVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure11, "ms")
+	benchFigure(b, "fig11", "ms")
 }
 
 // BenchmarkFig12MobilityEnergy regenerates Figure 12 (energy vs radius with
 // mobile nodes; SPMS pays DBF re-convergence).
 func BenchmarkFig12MobilityEnergy(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure12, "uJ")
+	benchFigure(b, "fig12", "uJ")
 }
 
 // BenchmarkFig13ClusterEnergy regenerates Figure 13 (energy vs radius for
 // cluster-based hierarchical communication, with and without failures).
 func BenchmarkFig13ClusterEnergy(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure13, "uJ")
+	benchFigure(b, "fig13", "uJ")
 }
 
 // BenchmarkMobilityThreshold recomputes the §5.1.3 break-even packet count.
 func BenchmarkMobilityThreshold(b *testing.B) {
 	var breakEven, dbf float64
 	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick(), 0)
-		be, d, err := r.MobilityThreshold()
+		be, d, err := figures.MobilityThreshold(figures.Quick(), campaign.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

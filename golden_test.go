@@ -17,14 +17,13 @@ package repro
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/experiment"
+	"repro/internal/figures"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/golden files from the current code")
@@ -67,36 +66,12 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	t.Fatalf("%s: output differs (same lines, different bytes)", path)
 }
 
-// quickReport assembles exactly the text `figures -quick` prints: Table 1,
-// the analytic figures, every simulated figure at Quick quality, and the
-// §5.1.3 mobility break-even block.
+// quickReport renders exactly the text `figures -quick` prints, through
+// the same Report call.
 func quickReport() (string, error) {
 	var b strings.Builder
-	b.WriteString(experiment.Table1() + "\n")
-	b.WriteString(experiment.Figure3().Format() + "\n")
-	b.WriteString(experiment.Figure5().Format() + "\n")
-
-	runner := experiment.NewRunner(experiment.Quick(), 0)
-	figures := []func() (experiment.Table, error){
-		runner.Figure6, runner.Figure7, runner.Figure8, runner.Figure9,
-		runner.Figure10, runner.Figure11, runner.Figure12, runner.Figure13,
-	}
-	for _, fig := range figures {
-		tbl, err := fig()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(tbl.Format() + "\n")
-	}
-
-	breakEven, dbf, err := runner.MobilityThreshold()
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "## §5.1.3 — Mobility break-even\n"+
-		"DBF re-convergence energy per mobility event: %.2f µJ\n"+
-		"Packets needed between mobility events for SPMS to win: %.2f (paper: 239.18)\n\n", dbf, breakEven)
-	return b.String(), nil
+	err := figures.Report(&b, figures.Quick(), nil, false, campaign.RunOptions{})
+	return b.String(), err
 }
 
 // TestGoldenFiguresQuick locks the full quick-scale figure report.

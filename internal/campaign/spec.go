@@ -2,8 +2,9 @@
 // parallel sweep engine: a campaign spec (a JSON file) names a base
 // experiment.Scenario plus axes — lists or ranges per parameter — and the
 // package expands the cartesian grid into a deterministic, stably-ordered
-// point set, executes it via experiment.Sweep, and streams every finished
-// point to pluggable result sinks tagged with its full parameter tuple.
+// point set, executes it via experiment.ReplicatedSweep, and streams every
+// finished point to pluggable result sinks tagged with its full parameter
+// tuple.
 //
 // The grid-expansion order contract (DESIGN.md §6): axes are taken in the
 // canonical parameter order of the Axes struct below, values in spec order

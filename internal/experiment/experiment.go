@@ -39,8 +39,8 @@ const (
 	Flooding
 )
 
-// String names the protocol as the paper does (F- prefixes are added by the
-// figure runners for failure scenarios).
+// String names the protocol as the paper does (the figure tables add the
+// F- prefix to failure-scenario columns).
 func (p Protocol) String() string {
 	switch p {
 	case SPMS:

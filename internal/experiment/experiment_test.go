@@ -5,10 +5,16 @@ import (
 	"time"
 )
 
-// runPair executes a scenario under both SPMS and SPIN (test helper over
-// the memoizing Runner).
+// runPair executes a scenario under both SPMS and SPIN as a two-point
+// sweep.
 func runPair(sc Scenario) (spms, spin Result, err error) {
-	return NewRunner(Quick(), 0).pair(sc)
+	spmsSc, spinSc := sc, sc
+	spmsSc.Protocol, spinSc.Protocol = SPMS, SPIN
+	res, err := (Sweep{Points: []Scenario{spmsSc, spinSc}}).Execute()
+	if err != nil {
+		return Result{}, Result{}, err
+	}
+	return res[0], res[1], nil
 }
 
 // quickScenario is a small but non-trivial all-to-all configuration used

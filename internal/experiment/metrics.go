@@ -4,7 +4,11 @@
 // into per-metric statistics.
 package experiment
 
-import "repro/internal/stats"
+import (
+	"time"
+
+	"repro/internal/stats"
+)
 
 // resultMetricNames is the canonical metric order with units embedded:
 // energies in microjoules, delays in milliseconds. It must stay aligned
@@ -49,3 +53,5 @@ func AggregateResults(rs []Result) []stats.Summary {
 	}
 	return stats.DescribeColumns(rows)
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

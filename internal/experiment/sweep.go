@@ -1,8 +1,9 @@
-// sweep.go is the parallel execution engine behind every figure runner:
-// a declarative scenario grid executed by a bounded worker pool. Scenarios
-// are independent, fully seeded simulations — each worker goroutine builds
-// its own Scheduler — so parallel execution is deterministic: results are
-// reassembled in point order and are byte-identical at every pool size.
+// sweep.go is the parallel execution engine behind every campaign, the
+// paper's figures included: a declarative scenario grid executed by a
+// bounded worker pool. Scenarios are independent, fully seeded
+// simulations — each worker goroutine builds its own Scheduler — so
+// parallel execution is deterministic: results are reassembled in point
+// order and are byte-identical at every pool size.
 package experiment
 
 import (

@@ -384,41 +384,3 @@ func TestReplicatedSweepCancel(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 }
-
-// TestSweepParallelDeterminism is the tentpole's contract: Figure8-class
-// sweeps produce byte-identical tables at workers=1 and workers=8. Figure10
-// adds failure injection and Figure13 the clustered workload, so the
-// comparison covers every scenario dimension the figures exercise.
-func TestSweepParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
-	serial := NewRunner(tiny(), 1)
-	parallel := NewRunner(tiny(), 8)
-	figures := []struct {
-		name string
-		run  func(*Runner) (Table, error)
-	}{
-		{"fig8", (*Runner).Figure8},
-		{"fig10", (*Runner).Figure10},
-		{"fig13", (*Runner).Figure13},
-	}
-	for _, f := range figures {
-		t.Run(f.name, func(t *testing.T) {
-			a, err := f.run(serial)
-			if err != nil {
-				t.Fatalf("workers=1: %v", err)
-			}
-			b, err := f.run(parallel)
-			if err != nil {
-				t.Fatalf("workers=8: %v", err)
-			}
-			if a.Format() != b.Format() {
-				t.Fatalf("parallel table diverged from serial:\n--- workers=1\n%s\n--- workers=8\n%s", a.Format(), b.Format())
-			}
-			if a.CSV() != b.CSV() {
-				t.Fatal("parallel CSV diverged from serial")
-			}
-		})
-	}
-}

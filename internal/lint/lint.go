@@ -113,7 +113,7 @@ func DefaultConfig() *Config {
 	for _, name := range []string{
 		"sim", "network", "core", "spin", "flood", "dissem", "routing",
 		"topo", "geom", "fault", "workload", "zone", "experiment", "campaign",
-		"checkpoint", "service",
+		"checkpoint", "service", "figures",
 	} {
 		det["repro/internal/"+name] = true
 	}

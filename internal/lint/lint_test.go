@@ -195,7 +195,7 @@ func TestDefaultConfigMatchesTree(t *testing.T) {
 	for _, path := range []string{
 		"repro/internal/sim", "repro/internal/network", "repro/internal/campaign",
 		"repro/internal/zone", "repro/internal/experiment", "repro/internal/sim_test",
-		"repro/internal/checkpoint",
+		"repro/internal/checkpoint", "repro/internal/figures",
 	} {
 		if !cfg.Deterministic(path) {
 			t.Errorf("Deterministic(%q) = false, want true", path)

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/checkpoint"
 	"repro/internal/experiment"
 )
@@ -21,6 +23,43 @@ import (
 // across packages.
 func stubRun(sc experiment.Scenario) (experiment.Result, error) {
 	return experiment.Result{Items: sc.Nodes, EnergyPerPacket: float64(sc.Seed)}, nil
+}
+
+// gatedRun returns an executor for testSpecJSON's grid that runs points
+// below open straight through stubRun and blocks every later point until
+// release is called. Gating on the trial's grid point rather than on call
+// order keeps the open prefix streamable however the pool's workers
+// interleave. t.Cleanup releases the gate as well, so a failed assertion
+// ends the test instead of leaving workers blocked.
+func gatedRun(t *testing.T, open int) (run func(experiment.Scenario) (experiment.Result, error), release func()) {
+	t.Helper()
+	js, err := ParseJobSpec([]byte(testSpecJSON))
+	if err != nil {
+		t.Fatalf("ParseJobSpec: %v", err)
+	}
+	c, err := campaign.Expand(js.Spec)
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	index := make(map[experiment.Scenario]int, len(c.Points))
+	for _, p := range c.Points {
+		index[p.Scenario] = p.Index
+	}
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	run = func(sc experiment.Scenario) (experiment.Result, error) {
+		i, ok := index[sc]
+		if !ok {
+			return experiment.Result{}, fmt.Errorf("scenario outside the test grid: %+v", sc)
+		}
+		if i >= open {
+			<-gate
+		}
+		return stubRun(sc)
+	}
+	return run, release
 }
 
 // waitTerminal blocks (on the job's wake channel, no polling) until the
@@ -127,16 +166,9 @@ func TestRecoverResumesKilledJob(t *testing.T) {
 	want := referenceBytes(t)
 	root := t.TempDir()
 
-	// First daemon: the executor completes four points, then blocks —
-	// freezing the job mid-flight with a partial journal.
-	gate := make(chan struct{})
-	var calls atomic.Int32
-	blockingRun := func(sc experiment.Scenario) (experiment.Result, error) {
-		if calls.Add(1) > 4 {
-			<-gate
-		}
-		return stubRun(sc)
-	}
+	// First daemon: the executor completes the first four points and
+	// blocks the rest — freezing the job mid-flight with a partial journal.
+	blockingRun, release := gatedRun(t, 4)
 	m1 := NewManager(Config{CheckpointRoot: root, Run: blockingRun, Workers: 2})
 	j1, err := m1.Submit([]byte(testSpecJSON))
 	if err != nil {
@@ -155,7 +187,7 @@ func TestRecoverResumesKilledJob(t *testing.T) {
 	if _, err := m1.Cancel(j1.ID()); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
-	close(gate) // release the blocked in-flight points so the drain finishes
+	release() // unblock the in-flight points so the drain finishes
 	m1.Drain()
 	if state := j1.State(); state != JobCancelled {
 		t.Fatalf("interrupted job state = %s, want %s", state, JobCancelled)
@@ -375,14 +407,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 // TestHTTPCancelDrains exercises DELETE: the response is 202, in-flight
 // points finish, and the job lands in cancelled with a partial stream.
 func TestHTTPCancelDrains(t *testing.T) {
-	gate := make(chan struct{})
-	var calls atomic.Int32
-	blockingRun := func(sc experiment.Scenario) (experiment.Result, error) {
-		if calls.Add(1) > 2 {
-			<-gate
-		}
-		return stubRun(sc)
-	}
+	blockingRun, release := gatedRun(t, 2)
 	m := NewManager(Config{Run: blockingRun, Workers: 2})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
@@ -412,7 +437,7 @@ func TestHTTPCancelDrains(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE status = %d, want 202", resp.StatusCode)
 	}
-	close(gate)
+	release()
 	if state := waitTerminal(t, j); state != JobCancelled {
 		t.Fatalf("state after DELETE = %s, want %s", state, JobCancelled)
 	}
