@@ -474,6 +474,31 @@ func BenchmarkContenders(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxContenders measures the count-only max-contender pass SPIN
+// runs once per trial, on uniform fields at the grid's density (the
+// scale-1e5 benchmark's field at n=100000). It builds no neighbor cache,
+// so every iteration does the whole pass.
+func BenchmarkMaxContenders(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m, err := radio.ScaledMICA2(20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			side := float64(geom.GridSide(n)-1) * topo.DefaultGridSpacing
+			f, err := topo.NewUniformField(n, geom.Rect{Max: geom.Point{X: side, Y: side}}, m, sim.NewRNG(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += f.MaxContenders(radio.MaxPower)
+			}
+		})
+	}
+}
+
 // BenchmarkZoneNeighborsRebuild measures the topology cache rebuild after a
 // mobility event, comparing incremental invalidation (the production path:
 // only the neighborhoods a mover leaves and enters are stamped dirty)

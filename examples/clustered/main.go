@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"repro/internal/experiment"
@@ -45,15 +44,16 @@ func run(nodes int, radius float64, failures bool, seed int64) error {
 		return err
 	}
 	heads := workload.ClusterHeads(field)
-	members := make(map[packet.NodeID]int)
+	members := make([]int, len(heads))
 	for _, h := range heads {
 		members[h]++
 	}
-	headIDs := make([]packet.NodeID, 0, len(members))
-	for h := range members {
-		headIDs = append(headIDs, h)
+	var headIDs []packet.NodeID
+	for id, n := range members {
+		if n > 0 {
+			headIDs = append(headIDs, packet.NodeID(id))
+		}
 	}
-	sort.Slice(headIDs, func(i, j int) bool { return headIDs[i] < headIDs[j] })
 	fmt.Printf("field: %d nodes, %g m cells → %d clusters\n", nodes, radius, len(headIDs))
 	for _, h := range headIDs {
 		fmt.Printf("  head %3d at %v leads %d nodes\n", h, field.Pos(h), members[h])

@@ -439,7 +439,8 @@ type Result struct {
 // whatever they are set to.
 type RunConfig struct {
 	// SimWorkers bounds the goroutines the run's data-parallel kernels use
-	// (neighbor-cache warmup, DBF rounds, route derivation, graph builds).
+	// (SPMS's graph builds with their neighbor-cache warmup, DBF rounds,
+	// route derivation); SPIN and flooding build caches lazily either way.
 	// 0 or 1 means serial. Counts above GOMAXPROCS are used as given, not
 	// clamped: zone.Workers caps only at zone.MaxWorkers (DESIGN.md §10).
 	// The event loop itself is always single-threaded (DESIGN.md §5.1);
@@ -487,13 +488,11 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if workers > 1 {
-		// Warm every neighbor cache in parallel up front: cache contents are
-		// a pure function of positions, so this only moves work earlier.
-		field.WarmAll(workers)
-	}
 	topoSpan.End()
 
+	// The model phase runs from here to the event loop, paused around the
+	// initial route computation so the phases partition the run.
+	modelSpan := o.StartPhase(obs.PhaseModel)
 	nw, err := network.New(sched, field, netRNG, network.Config{
 		Sizes:        packet.DefaultSizes(),
 		MAC:          mac.AnalyticConfig(),
@@ -525,9 +524,11 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	)
 	switch sc.Protocol {
 	case SPMS:
+		modelSpan.End()
 		routeSpan := o.StartPhase(obs.PhaseRoutes)
 		tables = routing.ComputeWorkers(routing.BuildGraphWorkers(field, workers), sc.RouteAlternatives, workers)
 		routeSpan.End()
+		modelSpan = o.StartPhase(obs.PhaseModel)
 		if sc.ChargeInitialDBF {
 			routing.ChargeConvergenceEnergy(tables, field, nw.Sizes(), nw.Energy())
 		}
@@ -581,6 +582,7 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	}
 
 	gen.Schedule(sched, proto)
+	modelSpan.End()
 	eventSpan := o.StartPhase(obs.PhaseEvents)
 	if err := sched.Run(horizon); err != nil {
 		return Result{}, err
@@ -658,7 +660,7 @@ func scheduleMobility(res *Result, sc Scenario, sched *sim.Scheduler, field *top
 		step()
 		res.MobilityEvents++
 		if spms != nil {
-			span := o.StartPhase(obs.PhaseRoutes)
+			span := o.StartPhase(obs.PhaseMobilityRoutes)
 			fresh := routing.ComputeWorkers(routing.BuildGraphWorkers(field, workers), sc.RouteAlternatives, workers)
 			span.End()
 			spms.SetTables(fresh)

@@ -10,6 +10,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -161,6 +162,50 @@ func TestRunStatsPopulated(t *testing.T) {
 	}
 	if st.Wall < st.EventLoop {
 		t.Fatalf("wall %v < event loop %v", st.Wall, st.EventLoop)
+	}
+}
+
+// TestRunPhasesPartitionWall checks the phases tile the run: topology,
+// model construction, the initial routes and the event loop are disjoint
+// spans, and the mobility recomputes are a sub-span of both the route
+// time and the event loop. Only the span structure is asserted, never a
+// wall-clock ratio.
+func TestRunPhasesPartitionWall(t *testing.T) {
+	spin := obsScenario()
+	spin.Protocol = SPIN
+	for _, tc := range []struct {
+		name     string
+		sc       Scenario
+		mobility bool
+	}{
+		{"spin", spin, false},
+		{"spms-mobility", obsScenario(), true},
+	} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				o := &obs.RunObserver{}
+				if _, err := RunWith(tc.sc, RunConfig{SimWorkers: workers, Obs: o}); err != nil {
+					t.Fatal(err)
+				}
+				st := o.Stats()
+				if st.ModelBuild <= 0 {
+					t.Fatalf("ModelBuild = %v, want > 0: %+v", st.ModelBuild, st)
+				}
+				if sum := st.TopologyBuild + st.ModelBuild + st.RouteCompute - st.MobilityRoutes + st.EventLoop; sum > st.Wall {
+					t.Fatalf("phases sum to %v, more than wall %v: %+v", sum, st.Wall, st)
+				}
+				if !tc.mobility {
+					if st.MobilityRoutes != 0 {
+						t.Fatalf("MobilityRoutes = %v on a run without route recomputes", st.MobilityRoutes)
+					}
+					return
+				}
+				if st.MobilityRoutes <= 0 || st.MobilityRoutes > min(st.RouteCompute, st.EventLoop) {
+					t.Fatalf("MobilityRoutes = %v, want in (0, min(routes %v, loop %v)]",
+						st.MobilityRoutes, st.RouteCompute, st.EventLoop)
+				}
+			})
+		}
 	}
 }
 

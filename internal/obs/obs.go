@@ -26,12 +26,20 @@ import "time"
 // Phase names one wall-clock span of a simulation run.
 type Phase int
 
-// Run phases. Topology covers field construction and neighbor-cache
-// warmup; Routes covers DBF route computation, including mobility-driven
-// recomputes; Events is the event-loop dispatch itself.
+// Run phases. Topology covers field construction (neighbor caches build
+// lazily on first query, or inside Routes when a route computation warms
+// them); Model covers the network, workload and protocol construction and
+// the arming of faults, mobility and traffic that follows, less any route
+// computation nested in that stretch; Routes covers DBF route
+// computation; Events is the event-loop dispatch itself. MobilityRoutes
+// marks the route recomputes that mobility runs inside the event loop:
+// they count under both Routes and MobilityRoutes, so Topology + Model +
+// (Routes − MobilityRoutes) + Events partitions the run within Wall.
 const (
 	PhaseTopology Phase = iota
+	PhaseModel
 	PhaseRoutes
+	PhaseMobilityRoutes
 	PhaseEvents
 	numPhases
 )
@@ -42,10 +50,12 @@ const (
 // it computed — so result identity (golden corpus, campaign sinks) is
 // untouched by collecting it.
 type RunStats struct {
-	TopologyBuild time.Duration `json:"topologyBuildNs"` // field construction + cache warmup
-	RouteCompute  time.Duration `json:"routeComputeNs"`  // DBF computes, initial + mobility re-runs
-	EventLoop     time.Duration `json:"eventLoopNs"`     // scheduler dispatch
-	Wall          time.Duration `json:"wallNs"`          // whole run, BeginRun to EndRun
+	TopologyBuild  time.Duration `json:"topologyBuildNs"`           // field construction
+	ModelBuild     time.Duration `json:"modelBuildNs,omitempty"`    // network, workload, protocol construction
+	RouteCompute   time.Duration `json:"routeComputeNs"`            // DBF computes, initial + mobility re-runs
+	MobilityRoutes time.Duration `json:"mobilityRouteNs,omitempty"` // the mobility re-runs alone, inside EventLoop
+	EventLoop      time.Duration `json:"eventLoopNs"`               // scheduler dispatch
+	Wall           time.Duration `json:"wallNs"`                    // whole run, BeginRun to EndRun
 
 	EventsDispatched uint64 `json:"eventsDispatched"` // events fired by the kernel
 	PeakHeapDepth    int    `json:"peakHeapDepth"`    // max simultaneously pending events
@@ -101,8 +111,8 @@ func (o *RunObserver) EndRun() {
 }
 
 // StartPhase opens a wall-clock span for p. Spans for the same phase
-// accumulate: mobility-driven route recomputes add onto the initial
-// convergence under PhaseRoutes.
+// accumulate: a phase may be paused around a nested one, and
+// mobility-driven route recomputes add onto the initial convergence.
 func (o *RunObserver) StartPhase(p Phase) Span {
 	if o == nil {
 		return Span{}
@@ -119,8 +129,13 @@ func (s Span) End() {
 	switch s.p {
 	case PhaseTopology:
 		s.o.stats.TopologyBuild += d
+	case PhaseModel:
+		s.o.stats.ModelBuild += d
 	case PhaseRoutes:
 		s.o.stats.RouteCompute += d
+	case PhaseMobilityRoutes:
+		s.o.stats.RouteCompute += d
+		s.o.stats.MobilityRoutes += d
 	case PhaseEvents:
 		s.o.stats.EventLoop += d
 	}

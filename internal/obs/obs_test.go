@@ -213,29 +213,39 @@ func TestTraceSinkStickyError(t *testing.T) {
 
 // --- RunObserver ---
 
+// TestRunObserverPhasesAccumulate also pins where the nested phases
+// land: a model span paused around a route span accumulates, and a
+// mobility route span inside the event loop counts under both
+// RouteCompute and MobilityRoutes.
 func TestRunObserverPhasesAccumulate(t *testing.T) {
 	o := &RunObserver{}
 	o.BeginRun()
-	for i := 0; i < 2; i++ {
-		sp := o.StartPhase(PhaseRoutes)
+	for _, p := range []Phase{PhaseModel, PhaseRoutes, PhaseModel, PhaseRoutes} {
+		sp := o.StartPhase(p)
 		time.Sleep(time.Millisecond)
 		sp.End()
 	}
 	sp := o.StartPhase(PhaseEvents)
+	mob := o.StartPhase(PhaseMobilityRoutes)
+	time.Sleep(time.Millisecond)
+	mob.End()
 	time.Sleep(time.Millisecond)
 	sp.End()
 	o.RecordKernel(1234, 56, 78)
 	o.EndRun()
 
 	st := o.Stats()
-	if st.RouteCompute < 2*time.Millisecond {
-		t.Fatalf("RouteCompute = %v, want >= 2ms (two accumulated spans)", st.RouteCompute)
+	if st.ModelBuild < 2*time.Millisecond {
+		t.Fatalf("ModelBuild = %v, want >= 2ms (two accumulated spans)", st.ModelBuild)
 	}
-	if st.EventLoop < time.Millisecond {
-		t.Fatalf("EventLoop = %v, want >= 1ms", st.EventLoop)
+	if st.MobilityRoutes < time.Millisecond || st.RouteCompute < st.MobilityRoutes+2*time.Millisecond {
+		t.Fatalf("RouteCompute = %v, MobilityRoutes = %v: want two initial spans plus the mobility one", st.RouteCompute, st.MobilityRoutes)
 	}
-	if st.Wall < st.RouteCompute+st.EventLoop {
-		t.Fatalf("Wall %v < RouteCompute+EventLoop %v", st.Wall, st.RouteCompute+st.EventLoop)
+	if st.EventLoop < st.MobilityRoutes+time.Millisecond {
+		t.Fatalf("EventLoop = %v, want >= MobilityRoutes %v + 1ms", st.EventLoop, st.MobilityRoutes)
+	}
+	if sum := st.ModelBuild + st.RouteCompute - st.MobilityRoutes + st.EventLoop; st.Wall < sum {
+		t.Fatalf("Wall %v < the phases' sum %v", st.Wall, sum)
 	}
 	if st.EventsDispatched != 1234 || st.PeakHeapDepth != 56 || st.ArenaHighWater != 78 {
 		t.Fatalf("kernel stats not recorded: %+v", st)

@@ -84,12 +84,10 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 func derivePendingTimeout(nw *network.Network, proc time.Duration) time.Duration {
 	f := nw.Field()
 	m := f.Model()
-	maxContenders := 0
-	for i := 0; i < f.N(); i++ {
-		if c := f.Contenders(packet.NodeID(i), radio.MaxPower); c > maxContenders {
-			maxContenders = c
-		}
-	}
+	// A count-only pass: building every node's neighbor cache just to read
+	// one integer would dominate setup on large fields, where the event
+	// loop later queries only the caches it touches.
+	maxContenders := f.MaxContenders(radio.MaxPower)
 	// The network does not expose its CSMA instance, so the full-window
 	// backoff bound is not available here. Use a conservative closed form
 	// instead: the Table 1 MAC's G·n² term (G = 0.01 ms) dominates, and

@@ -81,6 +81,19 @@ func TestDerivedPendingTimeoutPositive(t *testing.T) {
 	}
 }
 
+// TestNewSystemBuildsNoNeighborCache pins that deriving the pending
+// timeout is a count-only pass: on a 20 000-node field no node's neighbor
+// cache exists until the event loop queries it.
+func TestNewSystemBuildsNoNeighborCache(t *testing.T) {
+	fx := newFixture(t, 20000, 20, dissem.Everyone)
+	if fx.sys.Config().PendingTimeout <= 0 {
+		t.Fatalf("derived PendingTimeout=%v", fx.sys.Config().PendingTimeout)
+	}
+	if n := fx.nw.Field().ValidCaches(); n != 0 {
+		t.Fatalf("NewSystem built %d neighbor caches, want 0", n)
+	}
+}
+
 func TestOriginateValidation(t *testing.T) {
 	fx := newFixture(t, 4, 10, dissem.Everyone)
 	d := packet.DataID{Origin: 1, Seq: 0}

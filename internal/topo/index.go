@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/packet"
+	"repro/internal/radio"
 	"repro/internal/zone"
 )
 
@@ -232,6 +233,82 @@ func (f *Field) WarmAll(workers int) {
 	})
 }
 
+// MaxContenders returns the largest Contenders(id, l) over every node of
+// the field without building any neighbor cache: a count-only pass over
+// the bucket grid for callers that need one field-wide integer, not the
+// lists (SPIN derives its REQ-suppression timeout from it).
+//
+// Coordinates are copied bucket-contiguous (cell c's nodes occupy slots
+// [start[c], start[c+1]) of xs/ys), then each in-range pair is counted once
+// over a half stencil: the cell's own pairs, then its E, NE, N and NW
+// neighbors; the other four directions are those cells' own half stencils.
+// Buckets are row-major, so the cell plus its E neighbor is one slot range
+// and the NW, N and NE cells are another. That visits exactly the pairs
+// rebuildNode's 3×3 scans visit, under the same Dist2 <= rangeSq
+// predicate (symmetric: negating a difference is exact), so every
+// per-node count equals len(ReachedBy(id, l)). The pass is serial and
+// allocates four slices whatever the field size.
+func (f *Field) MaxContenders(l radio.Level) int {
+	r2 := f.levelRangeSq(l)
+	s := f.index
+	start := make([]int32, len(s.buckets)+1)
+	xs := make([]float64, len(f.pos))
+	ys := make([]float64, len(f.pos))
+	for c, b := range s.buckets {
+		o := int(start[c])
+		for k, id := range b {
+			xs[o+k], ys[o+k] = f.pos[id].X, f.pos[id].Y
+		}
+		start[c+1] = start[c] + int32(len(b))
+	}
+	cnt := make([]int32, len(f.pos))
+	cols, rows := s.grid.Cols(), s.grid.Rows()
+	for cy := 0; cy < rows; cy++ {
+		for cx := 0; cx < cols; cx++ {
+			c := s.grid.Index(cx, cy)
+			lo, hi := start[c], start[c+1]
+			rowHi := hi // own cell, then E
+			if cx+1 < cols {
+				rowHi = start[c+2]
+			}
+			var upLo, upHi int32 // NW, N, NE
+			if cy+1 < rows {
+				upLo = start[s.grid.Index(max(cx-1, 0), cy+1)]
+				upHi = start[s.grid.Index(min(cx+1, cols-1), cy+1)+1]
+			}
+			for i := lo; i < hi; i++ {
+				p := geom.Point{X: xs[i], Y: ys[i]}
+				cnt[i] += countInRange(p, r2, xs[i+1:rowHi], ys[i+1:rowHi], cnt[i+1:rowHi]) +
+					countInRange(p, r2, xs[upLo:upHi], ys[upLo:upHi], cnt[upLo:upHi])
+			}
+		}
+	}
+	best := int32(0)
+	for _, n := range cnt {
+		best = max(best, n)
+	}
+	return int(best) + 1
+}
+
+// countInRange adds one to cnt[k] for each point (xs[k], ys[k]) within r2
+// of p and returns how many there were. The count is branch-free: on a
+// uniform field about a third of the candidates are in range, too
+// unpredictable for a branch.
+func countInRange(p geom.Point, r2 float64, xs, ys []float64, cnt []int32) int32 {
+	ys = ys[:len(xs)]
+	cnt = cnt[:len(xs)]
+	var n int32
+	for k, x := range xs {
+		var in int32
+		if p.Dist2(geom.Point{X: x, Y: ys[k]}) <= r2 {
+			in = 1
+		}
+		cnt[k] += in
+		n += in
+	}
+	return n
+}
+
 // invalidateAround stamps every node within max radio range of p with the
 // current epoch: exactly the nodes whose neighbor lists can gain or lose a
 // node that moved from or to p.
@@ -255,6 +332,20 @@ func (f *Field) InvalidateAll() {
 	for i := range f.nodeEpoch {
 		f.nodeEpoch[i] = f.epoch
 	}
+}
+
+// ValidCaches returns how many nodes currently hold a valid neighbor
+// cache: those some query (or WarmAll) rebuilt since their neighborhood
+// last changed. Like Epoch it exists for tests and diagnostics — it shows
+// how much of the field a run actually touched.
+func (f *Field) ValidCaches() int {
+	n := 0
+	for i := range f.cache {
+		if f.cache[i].epoch >= f.nodeEpoch[i] {
+			n++
+		}
+	}
+	return n
 }
 
 // Epoch returns the mobility epoch counter: it increments once per Move,

@@ -13,7 +13,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,7 +162,7 @@ func ClusteredSources(f *topo.Field, sources, packetsPerNode int, meanArrival ti
 			g.events = append(g.events, event{at: t, data: d})
 
 			set := make(map[packet.NodeID]bool)
-			if h, ok := heads[id]; ok && h != id {
+			if h := heads[id]; h != id {
 				set[h] = true
 			}
 			for _, nb := range f.ZoneNeighbors(id) {
@@ -188,45 +191,68 @@ func (g *Generator) finish() {
 
 // ClusterHeads partitions the field into square cells with side equal to
 // the radio's maximum range and elects, per cell, the node nearest the cell
-// center. The returned map gives every node its cluster head.
-func ClusterHeads(f *topo.Field) map[packet.NodeID]packet.NodeID {
-	cell := f.Model().MaxRange()
-	if cell <= 0 {
-		return nil
-	}
+// center, ties going to the lower id. The returned slice, indexed by node
+// id, gives every node its cluster head.
+func ClusterHeads(f *topo.Field) []packet.NodeID {
+	cell := f.Model().MaxRange() // positive: radio models reject non-positive ranges
 	bounds := f.Bounds()
+	n := f.N()
 	type cellKey struct{ cx, cy int }
-	members := make(map[cellKey][]packet.NodeID)
-	keyOf := func(id packet.NodeID) cellKey {
-		p := f.Pos(id)
-		return cellKey{
+	keys := make([]cellKey, n)
+	for i := range keys {
+		p := f.Pos(packet.NodeID(i))
+		keys[i] = cellKey{
 			cx: int((p.X - bounds.Min.X) / cell),
 			cy: int((p.Y - bounds.Min.Y) / cell),
 		}
 	}
-	for i := 0; i < f.N(); i++ {
-		id := packet.NodeID(i)
-		k := keyOf(id)
-		members[k] = append(members[k], id)
-	}
-	heads := make(map[packet.NodeID]packet.NodeID, f.N())
-	//repolint:allow maporder cells partition the id space, so each node is written exactly once from its own cell; the final map is identical for every visit order
-	for k, ids := range members {
-		centerX := bounds.Min.X + (float64(k.cx)+0.5)*cell
-		centerY := bounds.Min.Y + (float64(k.cy)+0.5)*cell
-		best := ids[0]
-		bestD := -1.0
-		for _, id := range ids {
-			p := f.Pos(id)
-			dx, dy := p.X-centerX, p.Y-centerY
-			d := dx*dx + dy*dy
-			if bestD < 0 || d < bestD || (d == bestD && id < best) {
-				best, bestD = id, d
+	// Number the cells row-major over the whole grid while it holds at
+	// most a few cells per node; a radius far below the node spacing would
+	// make that grid huge and nearly empty, so there only the occupied
+	// cells are numbered, in key order. Either way memory stays O(N).
+	cellOf := make([]int32, n)
+	cols := math.Floor(bounds.Width()/cell) + 1
+	rows := math.Floor(bounds.Height()/cell) + 1
+	var cells int
+	if cols*rows <= float64(4*n+1024) {
+		for i, k := range keys {
+			cellOf[i] = int32(k.cy*int(cols) + k.cx)
+		}
+		cells = int(cols * rows)
+	} else {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		slices.SortFunc(ids, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(keys[a].cy, keys[b].cy), cmp.Compare(keys[a].cx, keys[b].cx))
+		})
+		for k, id := range ids {
+			if k > 0 && keys[id] != keys[ids[k-1]] {
+				cells++
 			}
+			cellOf[id] = int32(cells)
 		}
-		for _, id := range ids {
-			heads[id] = best
+		cells++
+	}
+	best := make([]packet.NodeID, cells)
+	bestD := make([]float64, cells)
+	for c := range bestD {
+		bestD[c] = -1
+	}
+	for i, k := range keys {
+		p := f.Pos(packet.NodeID(i))
+		dx := p.X - (bounds.Min.X + (float64(k.cx)+0.5)*cell)
+		dy := p.Y - (bounds.Min.Y + (float64(k.cy)+0.5)*cell)
+		d := dx*dx + dy*dy
+		// Ids ascend, so a strict < keeps ties with the lower id.
+		if c := cellOf[i]; bestD[c] < 0 || d < bestD[c] {
+			best[c], bestD[c] = packet.NodeID(i), d
 		}
+	}
+	heads := make([]packet.NodeID, n)
+	for i, c := range cellOf {
+		heads[i] = best[c]
 	}
 	return heads
 }

@@ -2,10 +2,11 @@ package workload
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -155,16 +156,10 @@ func TestClusterHeadsCoverAllNodes(t *testing.T) {
 	f := clusteredField(t, 169, 20)
 	heads := ClusterHeads(f)
 	if len(heads) != 169 {
-		t.Fatalf("heads map covers %d nodes, want 169", len(heads))
+		t.Fatalf("heads cover %d nodes, want 169", len(heads))
 	}
-	nodes := make([]packet.NodeID, 0, len(heads))
-	for node := range heads {
-		nodes = append(nodes, node)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	distinct := make(map[packet.NodeID]bool)
-	for _, node := range nodes {
-		h := heads[node]
+	for node, h := range heads {
 		distinct[h] = true
 		// A head leads its own cluster.
 		if heads[h] != h {
@@ -173,6 +168,63 @@ func TestClusterHeadsCoverAllNodes(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatal("a 65 m field with 20 m cells must have several clusters")
+	}
+}
+
+// referenceHeads is the election written out per node: the head of i is
+// the member of i's cell nearest the cell center, ties to the lower id.
+func referenceHeads(f *topo.Field) []packet.NodeID {
+	cell := f.Model().MaxRange()
+	origin := f.Bounds().Min
+	key := func(id packet.NodeID) [2]int {
+		p := f.Pos(id)
+		return [2]int{int((p.X - origin.X) / cell), int((p.Y - origin.Y) / cell)}
+	}
+	dist := func(id packet.NodeID) float64 {
+		k, p := key(id), f.Pos(id)
+		dx := p.X - (origin.X + (float64(k[0])+0.5)*cell)
+		dy := p.Y - (origin.Y + (float64(k[1])+0.5)*cell)
+		return dx*dx + dy*dy
+	}
+	heads := make([]packet.NodeID, f.N())
+	for i := range heads {
+		best := packet.NodeID(-1)
+		for j := 0; j < f.N(); j++ {
+			id := packet.NodeID(j)
+			if key(id) == key(packet.NodeID(i)) && (best < 0 || dist(id) < dist(best)) {
+				best = id
+			}
+		}
+		heads[i] = best
+	}
+	return heads
+}
+
+// TestClusterHeadsMatchesReference covers both ways cells are numbered:
+// the whole grid at zone radii near the node spacing, and only the
+// occupied cells at a radius far below it, on grid and uniform fields.
+// At 15 m the grid puts four nodes at the same distance from each cell
+// center, so the lower-id tie rule is exercised too.
+func TestClusterHeadsMatchesReference(t *testing.T) {
+	for _, radius := range []float64{0.5, 3, 15, 20, 40} {
+		m, err := radio.ScaledMICA2(radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := topo.NewGridField(169, 5, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniform, err := topo.NewUniformField(400, geom.Rect{Max: geom.Point{X: 60, Y: 60}}, m, sim.NewRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []*topo.Field{grid, uniform} {
+			got, want := ClusterHeads(f), referenceHeads(f)
+			if !slices.Equal(got, want) {
+				t.Fatalf("radius %g, %d nodes: ClusterHeads diverges from the reference", radius, f.N())
+			}
+		}
 	}
 }
 
