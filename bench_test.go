@@ -88,10 +88,10 @@ func benchFigure(b *testing.B, id, unit string) {
 	reportLastRow(b, table, unit)
 }
 
-// BenchmarkSweepWorkers measures the sweep engine's scaling on the Figure 8
-// grid: the same scenario batch at pool sizes 1, 2, and one per core. The
-// tables are byte-identical across pool sizes (asserted against serial), so
-// the only difference is wall clock.
+// BenchmarkSweepWorkers measures the campaign trial pool's scaling on the
+// Figure 8 grid: the same scenario batch at pool sizes 1, 2, and one per
+// core. The tables are byte-identical across pool sizes (asserted against
+// serial), so the only difference is wall clock.
 func BenchmarkSweepWorkers(b *testing.B) {
 	serial, err := figures.Figure("fig8", figures.Quick(), campaign.RunOptions{Workers: 1})
 	if err != nil {
@@ -118,13 +118,17 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 }
 
-// runSweep executes scenarios through the parallel sweep engine under
-// every campaign and returns results in point order.
-func runSweep(b *testing.B, points ...experiment.Scenario) []experiment.Result {
+// runScenarios executes scenarios one after another and returns their
+// results in order.
+func runScenarios(b *testing.B, points ...experiment.Scenario) []experiment.Result {
 	b.Helper()
-	res, err := (experiment.Sweep{Points: points}).Execute()
-	if err != nil {
-		b.Fatal(err)
+	res := make([]experiment.Result, len(points))
+	for i, sc := range points {
+		r, err := experiment.RunWith(sc, experiment.RunConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res[i] = r
 	}
 	return res
 }
@@ -218,7 +222,7 @@ func BenchmarkAblationRelayADV(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.DisableRelayADV = disabled
 				sc.SPMSConfig = cfg
-				res = runSweep(b, sc)[0]
+				res = runScenarios(b, sc)[0]
 			}
 			b.ReportMetric(res.EnergyPerPacket, "uJ_per_pkt")
 			b.ReportMetric(float64(res.MeanDelay)/1e6, "ms_delay")
@@ -238,7 +242,7 @@ func BenchmarkAblationRouteAlternatives(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc := ablationScenario()
 				sc.RouteAlternatives = k
-				res = runSweep(b, sc)[0]
+				res = runScenarios(b, sc)[0]
 			}
 			b.ReportMetric(res.EnergyPerPacket, "uJ_per_pkt")
 			b.ReportMetric(res.DeliveryRate, "delivery_rate")
@@ -261,7 +265,7 @@ func BenchmarkAblationServeFromCache(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.ServeFromCache = on
 				sc.SPMSConfig = cfg
-				res = runSweep(b, sc)[0]
+				res = runScenarios(b, sc)[0]
 			}
 			b.ReportMetric(res.EnergyPerPacket, "uJ_per_pkt")
 			b.ReportMetric(float64(res.MeanDelay)/1e6, "ms_delay")
@@ -295,7 +299,7 @@ func BenchmarkAblationCarrierSense(b *testing.B) {
 				}
 				spinSC := spmsSC
 				spinSC.Protocol = experiment.SPIN
-				res := runSweep(b, spmsSC, spinSC)
+				res := runScenarios(b, spmsSC, spinSC)
 				spmsDelay = float64(res[0].MeanDelay) / 1e6
 				spinDelay = float64(res[1].MeanDelay) / 1e6
 			}

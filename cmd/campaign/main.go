@@ -1,7 +1,7 @@
 // Command campaign runs declarative experiment campaigns: JSON specs that
 // name a base scenario plus parameter axes (see internal/campaign and
 // DESIGN.md §6). The grid expands deterministically, executes on the
-// parallel sweep engine, and streams every finished point — in point
+// campaign trial pool, and streams every finished point — in point
 // order, byte-identical at any pool size — to JSONL and/or CSV sinks.
 //
 // Usage:
@@ -77,7 +77,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/checkpoint"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -312,7 +311,7 @@ func runCampaign(specPath string, args []string) int {
 		if *checkpointDir != "" {
 			fmt.Fprintf(os.Stderr, "campaign: resume with:\n  %s\n", resumeCommand(specPath, args))
 		}
-		if errors.Is(err, experiment.ErrCancelled) {
+		if errors.Is(err, campaign.ErrCancelled) {
 			return 130
 		}
 		return 1

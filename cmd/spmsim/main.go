@@ -19,9 +19,9 @@
 //	spmsim -protocol spms -nodes 100 -radius 20 -replications 10
 //
 // -replications N (N > 1) runs N independent trials whose seeds derive
-// deterministically from -seed, executed on the parallel sweep pool, and
-// prints mean / std / 95% CI / min / max per metric instead of the
-// single-run report.
+// deterministically from -seed as a one-point campaign (internal/campaign,
+// so -parallel bounds its trial pool), and prints mean / std / 95% CI /
+// min / max per metric instead of the single-run report.
 //
 // Single runs can additionally stream observability artifacts
 // (internal/obs, DESIGN.md §11) without perturbing the metrics: -trace
@@ -41,6 +41,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -388,22 +389,16 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// runReplicated runs the scenario's seed-derived trials through the
-// replicated sweep pool and prints per-metric statistics.
+// runReplicated runs the scenario's seed-derived trials as a one-point
+// campaign and prints per-metric statistics.
 func runReplicated(sc experiment.Scenario, workers, simWorkers int) int {
-	var runFn func(experiment.Scenario) (experiment.Result, error)
-	if simWorkers > 1 {
-		cfg := experiment.RunConfig{SimWorkers: simWorkers}
-		runFn = func(sc experiment.Scenario) (experiment.Result, error) {
-			return experiment.RunWith(sc, cfg)
-		}
+	c, err := campaign.Expand(campaign.Spec{Name: "spmsim", Base: sc})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
+		return 1
 	}
 	start := time.Now()
-	reps, err := experiment.ReplicatedSweep{
-		Points:  []experiment.Scenario{sc},
-		Workers: workers,
-		Run:     runFn,
-	}.Execute()
+	reps, err := c.Run(campaign.RunOptions{Workers: workers, SimWorkers: simWorkers})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
 		return 1

@@ -1,7 +1,7 @@
 // golden_test.go is the byte-level regression gate: it re-runs the
-// quick-scale figure report and a set of small canonical campaigns and
-// compares their output byte for byte against the files committed under
-// testdata/golden/. Any refactor that changes simulation output — even one
+// quick-scale figure report, a set of small canonical campaigns, and the
+// example programs and compares their output byte for byte against the
+// files committed under testdata/golden/. Any refactor that changes simulation output — even one
 // float in one cell — fails here, replacing the manual pre/post binary
 // diffs earlier PRs did by hand.
 //
@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -131,6 +132,49 @@ func TestGoldenCampaigns(t *testing.T) {
 			base := filepath.Join("testdata", "golden", "campaigns", spec.Name)
 			checkGolden(t, base+".jsonl", jsonl.Bytes())
 			checkGolden(t, base+".csv", csv.Bytes())
+		})
+	}
+}
+
+// goldenPrograms are the programs TestGoldenPrograms runs: every example
+// at its defaults, and spmsim's replicated path, which runs as a
+// one-point campaign.
+var goldenPrograms = []struct {
+	name, bin string
+	args      []string
+}{
+	{"clustered", "clustered", nil},
+	{"failover", "failover", nil},
+	{"fieldcompare", "fieldcompare", nil},
+	{"interzone", "interzone", nil},
+	{"quickstart", "quickstart", nil},
+	{"spmsim-replications", "spmsim", []string{"-protocol", "spms", "-nodes", "49", "-radius", "20", "-failures", "-replications", "4", "-parallel", "2"}},
+}
+
+// TestGoldenPrograms builds spmsim and the examples once and locks their
+// stdout, minus spmsim's wall-clock line — the only line any of them
+// prints that is not a pure function of its flags.
+func TestGoldenPrograms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("building and running the programs takes a few seconds; skipped under -short")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/spmsim", "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, p := range goldenPrograms {
+		t.Run(p.name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, p.bin), p.args...).Output()
+			if err != nil {
+				t.Fatalf("%s %v: %v", p.bin, p.args, err)
+			}
+			var kept strings.Builder
+			for _, line := range strings.SplitAfter(string(out), "\n") {
+				if !strings.HasPrefix(line, "wall clock:") {
+					kept.WriteString(line)
+				}
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", "programs", p.name+".txt"), []byte(kept.String()))
 		})
 	}
 }

@@ -67,7 +67,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		}
 		mem := &MemorySink{}
 		_, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{mem}, Run: killing, Checkpoint: dir, Cancel: cancel})
-		if !errors.Is(err, experiment.ErrCancelled) {
+		if !errors.Is(err, ErrCancelled) {
 			t.Fatalf("k=%d: interrupted run err = %v, want ErrCancelled", k, err)
 		}
 		if !mem.Aborted || mem.Closed {
@@ -148,7 +148,7 @@ func TestCrashResumeReplicated(t *testing.T) {
 		return stubRun(sc)
 	}
 	_, err = c.Run(RunOptions{Workers: 1, Sinks: []Sink{&MemorySink{}}, Run: killing, Checkpoint: dir, Cancel: cancel})
-	if !errors.Is(err, experiment.ErrCancelled) {
+	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("interrupted run err = %v, want ErrCancelled", err)
 	}
 
@@ -461,7 +461,7 @@ func TestFileSinkLifecycle(t *testing.T) {
 	}
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{fs2}, Run: stubRun, Cancel: cancel}); !errors.Is(err, experiment.ErrCancelled) {
+	if _, err := c.Run(RunOptions{Workers: 1, Sinks: []Sink{fs2}, Run: stubRun, Cancel: cancel}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("cancelled run err = %v, want ErrCancelled", err)
 	}
 	if _, err := os.Stat(path2); !os.IsNotExist(err) {

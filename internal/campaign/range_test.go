@@ -6,8 +6,9 @@ import (
 )
 
 // TestRunRange is the point-range contract behind cross-process sharding:
-// runs restricted to contiguous ranges concatenate byte-identically to a
-// whole-grid run, and invalid ranges fail before any sink sees a point.
+// runs restricted to contiguous ranges — an empty one included, which runs
+// nothing — concatenate byte-identically to a whole-grid run, and invalid
+// ranges fail before any sink sees a point.
 func TestRunRange(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
@@ -19,7 +20,7 @@ func TestRunRange(t *testing.T) {
 	}
 
 	var parts bytes.Buffer
-	for _, r := range []PointRange{{0, 5}, {5, 6}, {6, 12}} {
+	for _, r := range []PointRange{{0, 5}, {5, 5}, {5, 6}, {6, 12}} {
 		r := r
 		results, err := c.Run(RunOptions{Workers: 4, Sinks: []Sink{NewJSONLSink(&parts)}, Run: stubRun, Range: &r})
 		if err != nil {

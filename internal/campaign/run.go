@@ -1,10 +1,10 @@
-// run.go executes an expanded campaign through the replicated sweep
-// engine and streams finished points to the sinks. The sweep's OnPoint
-// callback delivers completions serialized but possibly out of point
-// order; the runner buffers them and flushes the contiguous prefix, so
-// sinks always observe index order and their output is byte-identical at
-// every pool size — streaming without giving up the ordered-reassembly
-// contract. Unreplicated points flow to Sink.Point exactly as before;
+// run.go executes an expanded campaign through the trial pool (pool.go)
+// and streams finished points to the sinks. The pool delivers trials
+// serialized but possibly out of point order; the runner counts each
+// point's unfinished trials and flushes the contiguous prefix of finished
+// points, so sinks always observe index order and their output is
+// byte-identical at every pool size — streaming without giving up the
+// ordered-reassembly contract. Unreplicated points flow to Sink.Point;
 // replicated points (spec replications > 1) flow to Sink.Aggregate with
 // their full replicate vector and per-metric statistics.
 //
@@ -14,7 +14,7 @@
 // journal) or by any previous campaign (Cache) replay into the sinks
 // without re-execution, every freshly finished point is journaled
 // write-ahead of its sink delivery, failed trials re-execute under the
-// retry policy, and a closed Cancel channel drains in-flight points and
+// retry policy, and a closed Cancel channel drains in-flight trials and
 // aborts the sinks instead of finalizing them.
 package campaign
 
@@ -60,9 +60,9 @@ func ShardRange(points, index, count int) PointRange {
 
 // RunOptions configures campaign execution.
 type RunOptions struct {
-	// Workers bounds the sweep pool; zero or negative means one per core.
-	// Replicates are independent work units, so a replicated campaign
-	// parallelizes across points × replications.
+	// Workers bounds the trial pool; zero or negative means one per core.
+	// The unit of work is a trial (one replicate of one point), so a
+	// replicated campaign parallelizes across points × replications.
 	Workers int
 	// Sinks receive every finished point in index order. The runner calls
 	// Begin before the first point, then exactly one of Close (clean
@@ -110,8 +110,8 @@ type RunOptions struct {
 	Cache *checkpoint.Cache
 
 	// Cancel, when non-nil, requests a graceful stop when closed: workers
-	// finish (and journal) the points already in flight, claim nothing
-	// new, sinks are aborted, and Run returns experiment.ErrCancelled.
+	// finish (and journal) the trials already in flight, claim nothing
+	// new, sinks are aborted, and Run returns ErrCancelled.
 	Cancel <-chan struct{}
 
 	// Range, when non-nil, restricts the run to the points in [Lo, Hi):
@@ -176,11 +176,6 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		}
 	}
 
-	scenarios := make([]experiment.Scenario, len(c.Points))
-	for i, p := range c.Points {
-		scenarios[i] = p.Scenario
-	}
-	replicated := c.Replications() > 1
 	reps := c.Replications()
 
 	// Canonical hashes are only needed when some durability layer is on,
@@ -189,7 +184,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	if journal != nil || opts.Cache != nil {
 		hashes = make([]string, len(c.Points))
 		for i := lo; i < hi; i++ {
-			h, err := experiment.ScenarioHash(scenarios[i])
+			h, err := experiment.ScenarioHash(c.Points[i].Scenario)
 			if err != nil {
 				return nil, errors.Join(fmt.Errorf("campaign %q: hash point %d: %w", c.Spec.Name, i, err), abortSinks())
 			}
@@ -197,17 +192,18 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		}
 	}
 
+	// left[i] counts point i's unfinished trials. Points replayed from the
+	// journal of a resumed run start at zero; loadCheckpoint already
+	// validated indices, hashes, and vector lengths, and completions
+	// outside this run's range belong to other shards and are ignored.
 	results := make([][]experiment.Result, len(c.Points))
-	done := make([]bool, len(c.Points))
-
-	// Replay the journaled prefix of a resumed run. loadCheckpoint already
-	// validated indices, hashes, and vector lengths; completions outside
-	// this run's range belong to other shards and are ignored.
+	left := make([]int, len(c.Points))
 	for i := lo; i < hi; i++ {
 		if rs, ok := completed[i]; ok {
 			results[i] = rs
-			done[i] = true
 			opts.Progress.PointResumed(i)
+		} else {
+			left[i] = reps
 		}
 	}
 
@@ -215,7 +211,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	// journaled up front, in index order, still write-ahead of the sinks.
 	if opts.Cache != nil {
 		for i := lo; i < hi; i++ {
-			if done[i] {
+			if left[i] == 0 {
 				continue
 			}
 			rs, hit, err := opts.Cache.Get(hashes[i])
@@ -234,82 +230,73 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 				}
 			}
 			results[i] = rs
-			done[i] = true
+			left[i] = 0
 			opts.Progress.PointCached(i)
 		}
 	}
 
-	// Ordered streaming: OnPoint calls are serialized by the sweep, so
-	// this state needs no lock of its own. A sink error propagates back
-	// through OnPoint's return, aborting the sweep instead of letting the
-	// remaining points simulate into a dead sink.
-	pending := make(map[int][]experiment.Result)
+	// Ordered streaming: flush hands the sinks every finished point from
+	// next up to the first unfinished one. The pool serializes its done
+	// calls, so this state needs no lock of its own.
 	next := lo
 	flush := func() error {
-		for {
-			rs, ok := pending[next]
-			if !ok {
-				return nil
-			}
-			delete(pending, next)
+		for ; next < hi && left[next] == 0; next++ {
 			for _, s := range opts.Sinks {
 				var err error
-				if replicated {
-					err = s.Aggregate(c.Points[next], NewAggregate(rs))
+				if reps > 1 {
+					err = s.Aggregate(c.Points[next], NewAggregate(results[next]))
 				} else {
-					err = s.Point(c.Points[next], rs[0])
+					err = s.Point(c.Points[next], results[next][0])
 				}
 				if err != nil {
 					return err
 				}
 			}
-			next++
 		}
+		return nil
 	}
-
-	// Feed the sinks the already-done prefix (and any already-done islands
-	// the sweep will flush as execution fills the gaps between them).
-	for i := lo; i < hi; i++ {
-		if done[i] {
-			pending[i] = results[i]
-		}
-	}
+	// Feed the sinks the already-finished prefix; finished islands past it
+	// flush as execution fills the gaps between them.
 	if err := flush(); err != nil {
 		return nil, errors.Join(err, abortSinks())
 	}
 
-	// What remains executes through the sweep; todo[k] maps the sweep's
-	// point index k back to the campaign's point index.
-	var todo []int
+	var trials []trial
 	for i := lo; i < hi; i++ {
-		if !done[i] {
-			todo = append(todo, i)
+		if left[i] == 0 {
+			continue
+		}
+		results[i] = make([]experiment.Result, reps)
+		for r := 0; r < reps; r++ {
+			trials = append(trials, trial{i, r})
 		}
 	}
-	todoScenarios := make([]experiment.Scenario, len(todo))
-	for k, i := range todo {
-		todoScenarios[k] = scenarios[i]
-	}
 
-	onPoint := func(k int, _ experiment.Scenario, rs []experiment.Result) error {
-		i := todo[k]
+	// done files one finished trial. A point reaches the journal, the cache
+	// and the sinks only once its last trial is in — whole or not at all.
+	// An error stops the pool instead of letting the remaining trials
+	// simulate into a dead sink.
+	done := func(t trial, res experiment.Result) error {
+		i := t.point
+		results[i][t.rep] = res
+		if left[i]--; left[i] > 0 {
+			return nil
+		}
 		opts.Progress.PointDone(i)
 		// Write-ahead: the journal record must be durable before any sink
 		// observes the point, so a crash after partial sink output always
 		// finds the point in the journal on resume.
 		if journal != nil {
-			rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
+			rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: results[i]}
 			if err := journal.Append(rec); err != nil {
 				return err
 			}
 		}
 		if opts.Cache != nil {
-			if err := opts.Cache.Put(hashes[i], rs); err != nil {
+			if err := opts.Cache.Put(hashes[i], results[i]); err != nil {
 				return err
 			}
 		}
-		results[i] = rs
-		pending[i] = rs
 		return flush()
 	}
 
@@ -323,21 +310,8 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	if opts.Retry.Max > 0 {
 		runFn = withRetry(runFn, opts.Retry, opts.Sleep, opts.Cancel, opts.Progress)
 	}
-
-	var onStart func(int)
-	if opts.Progress != nil {
-		onStart = func(k int) { opts.Progress.PointStarted(todo[k]) }
-	}
-	_, err := experiment.ReplicatedSweep{
-		Points:  todoScenarios,
-		Run:     runFn,
-		Workers: opts.Workers,
-		OnStart: onStart,
-		OnPoint: onPoint,
-		Cancel:  opts.Cancel,
-	}.Execute()
-	if err != nil {
-		return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
+	if err := c.runTrials(trials, opts, runFn, done); err != nil {
+		return nil, errors.Join(err, abortSinks())
 	}
 
 	var closeErr error
@@ -359,17 +333,6 @@ func withRetry(run func(experiment.Scenario) (experiment.Result, error), policy 
 		//repolint:allow detsource backoff between retry attempts is a wall-clock wait by definition; it delays execution but never alters results
 		sleep = time.Sleep
 	}
-	cancelled := func() bool {
-		if cancel == nil {
-			return false
-		}
-		select {
-		case <-cancel:
-			return true
-		default:
-			return false
-		}
-	}
 	// Recover per ATTEMPT, not per point: a panicking first attempt
 	// becomes an ordinary error the loop can retry.
 	run = experiment.Recovered(run)
@@ -381,7 +344,7 @@ func withRetry(run func(experiment.Scenario) (experiment.Result, error), policy 
 				return res, nil
 			}
 			lastErr = err
-			if attempt >= policy.Max || cancelled() {
+			if attempt >= policy.Max || closed(cancel) {
 				return experiment.Result{}, fmt.Errorf("after %d attempts: %w", attempt+1, lastErr)
 			}
 			if policy.Backoff > 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiment"
@@ -31,15 +32,16 @@ func gridSpec(t *testing.T) Spec {
 	}`)
 }
 
-// TestRunStreamsInOrder is the ordered-streaming contract: even with a
-// full worker pool completing points out of order, every sink observes
-// points strictly in index order.
+// TestRunStreamsInOrder is the ordered-streaming contract: at every pool
+// size — default, serial, and more workers than points — every sink
+// observes each point exactly once, strictly in index order, with the
+// result Run returns for it.
 func TestRunStreamsInOrder(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
 		t.Fatalf("Expand: %v", err)
 	}
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{0, 1, 2, 8, 64} {
 		mem := &MemorySink{}
 		results, err := c.Run(RunOptions{Workers: workers, Sinks: []Sink{mem}, Run: stubRun})
 		if err != nil {
@@ -116,8 +118,11 @@ func TestRunSinkFormats(t *testing.T) {
 }
 
 // TestRunSinkErrorAborts checks a failing sink surfaces its error AND
-// stops the sweep: with a serial pool, no point beyond the failing
-// delivery may simulate (a dead sink must not burn hours of grid).
+// stops the pool claiming trials: with a serial pool, no point beyond the
+// failing delivery may simulate (a dead sink must not burn hours of
+// grid). In parallel, every trial after the first is held until the sink
+// has failed, so any claim past the one already in flight would be
+// provably post-abort.
 func TestRunSinkErrorAborts(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
@@ -137,10 +142,29 @@ func TestRunSinkErrorAborts(t *testing.T) {
 		t.Fatalf("%d points simulated after the sink died at delivery 4, want exactly 4", runs)
 	}
 
-	// Parallel pools still surface the error.
-	_, err = c.Run(RunOptions{Workers: 4, Sinks: []Sink{&failingSink{failAt: 3}}, Run: stubRun})
+	c = nodesCampaign(t, 24, 1)
+	aborted := make(chan struct{})
+	var gated atomic.Int64
+	stub := func(sc experiment.Scenario) (experiment.Result, error) {
+		gated.Add(1)
+		if sc.Nodes > 10 {
+			<-aborted
+		}
+		return stubRun(sc)
+	}
+	sink := &funcSink{point: func(Point) error {
+		close(aborted)
+		return fmt.Errorf("sink boom")
+	}}
+	_, err = c.Run(RunOptions{Workers: 2, Sinks: []Sink{sink}, Run: stub})
 	if err == nil || !strings.Contains(err.Error(), "sink boom") {
-		t.Fatalf("workers=4: err = %v, want sink error", err)
+		t.Fatalf("workers=2: err = %v, want sink error", err)
+	}
+	if got := gated.Load(); got < 1 || got > 2 {
+		t.Fatalf("workers=2: %d trials ran after the sink died, want 1 or 2 — workers kept claiming", got)
+	}
+	if !sink.Aborted || sink.Closed {
+		t.Fatalf("workers=2: sink aborted=%v closed=%v, want aborted only", sink.Aborted, sink.Closed)
 	}
 }
 
@@ -243,7 +267,7 @@ func TestRunReplicationsAggregates(t *testing.T) {
 	if c.Replications() != 3 {
 		t.Fatalf("Replications() = %d, want 3", c.Replications())
 	}
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{0, 1, 2, 8} {
 		mem := &MemorySink{}
 		results, err := c.Run(RunOptions{Workers: workers, Sinks: []Sink{mem}, Run: stubRun})
 		if err != nil {
@@ -276,8 +300,13 @@ func TestRunReplicationsAggregates(t *testing.T) {
 			if agg.Metrics[1].N != 3 || agg.Metrics[1].Std == 0 || agg.Metrics[1].CI95 == 0 {
 				t.Fatalf("workers=%d: point %d summary not populated: %+v", workers, i, agg.Metrics[1])
 			}
-			if agg.Results[0] != results[i][0] || agg.Results[2] != results[i][2] {
-				t.Fatalf("workers=%d: aggregate replicate vector diverges from Run's results", workers)
+			for r := range agg.Results {
+				if agg.Results[r] != results[i][r] {
+					t.Fatalf("workers=%d: aggregate replicate vector diverges from Run's results", workers)
+				}
+				if got, want := results[i][r].EnergyPerPacket, float64(experiment.ReplicateSeed(base, r)); got != want {
+					t.Fatalf("workers=%d: point %d replicate %d ran seed %v, want %v — out of replicate order", workers, i, r, got, want)
+				}
 			}
 		}
 	}

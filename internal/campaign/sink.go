@@ -1,6 +1,6 @@
 // sink.go defines the streaming result sinks. The runner (run.go)
 // guarantees sinks observe points strictly in index order — out-of-order
-// sweep completions are buffered and flushed as an ordered prefix — so a
+// trial completions are buffered and flushed as an ordered prefix — so a
 // sink is a plain sequential writer and its output is byte-identical at
 // every worker-pool size.
 package campaign

@@ -1,10 +1,11 @@
-// Package campaign is the declarative experiment layer on top of the
-// parallel sweep engine: a campaign spec (a JSON file) names a base
-// experiment.Scenario plus axes — lists or ranges per parameter — and the
-// package expands the cartesian grid into a deterministic, stably-ordered
-// point set, executes it via experiment.ReplicatedSweep, and streams every
-// finished point to pluggable result sinks tagged with its full parameter
-// tuple.
+// Package campaign runs many scenarios; package experiment runs one. A
+// campaign spec (a JSON file) names a base experiment.Scenario plus axes
+// — lists or ranges per parameter — and the package expands the cartesian
+// grid into a deterministic, stably-ordered point set, executes its
+// trials (each point's seed-derived replicates) on a bounded worker pool,
+// and streams every finished point to pluggable result sinks tagged with
+// its full parameter tuple. Campaign.Run is the only way to run more than
+// one scenario.
 //
 // The grid-expansion order contract (DESIGN.md §6): axes are taken in the
 // canonical parameter order of the Axes struct below, values in spec order

@@ -1,10 +1,8 @@
-// Package experiment wires every substrate into runnable scenarios and
-// reproduces the paper's evaluation (§5): each figure has a runner that
-// sweeps the paper's x-axis and reports the same series the paper plots.
-//
-// A Scenario is a complete, seeded description of one simulation run; Run
-// executes it deterministically and returns the measured energy, delay, and
-// protocol counters.
+// Package experiment wires every substrate into one runnable scenario. A
+// Scenario is a complete, seeded description of one simulation run;
+// RunWith executes it deterministically and returns the measured energy,
+// delay, and protocol counters. Running many scenarios — grids,
+// replicates, the paper's figures — is package campaign's job.
 package experiment
 
 import (
@@ -206,8 +204,8 @@ type Scenario struct {
 	// Replications is how many independent trials this scenario stands
 	// for: replicate i runs with ReplicateSeed(Seed, i) and everything
 	// else identical. 0 and 1 both mean a single trial (exactly the
-	// pre-replication behavior); Run executes one trial regardless — the
-	// fan-out lives in ReplicatedSweep (replicate.go).
+	// pre-replication behavior); RunWith executes one trial regardless —
+	// the fan-out lives in the campaign trial pool (internal/campaign).
 	Replications int `json:"replications,omitempty"`
 }
 

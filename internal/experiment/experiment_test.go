@@ -5,16 +5,17 @@ import (
 	"time"
 )
 
-// runPair executes a scenario under both SPMS and SPIN as a two-point
-// sweep.
+// runPair executes a scenario under both SPMS and SPIN.
 func runPair(sc Scenario) (spms, spin Result, err error) {
-	spmsSc, spinSc := sc, sc
-	spmsSc.Protocol, spinSc.Protocol = SPMS, SPIN
-	res, err := (Sweep{Points: []Scenario{spmsSc, spinSc}}).Execute()
-	if err != nil {
+	sc.Protocol = SPMS
+	if spms, err = RunWith(sc, RunConfig{}); err != nil {
 		return Result{}, Result{}, err
 	}
-	return res[0], res[1], nil
+	sc.Protocol = SPIN
+	if spin, err = RunWith(sc, RunConfig{}); err != nil {
+		return Result{}, Result{}, err
+	}
+	return spms, spin, nil
 }
 
 // quickScenario is a small but non-trivial all-to-all configuration used

@@ -1,11 +1,6 @@
 package experiment
 
-import (
-	"errors"
-	"reflect"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestReplicateSeed(t *testing.T) {
 	if got := ReplicateSeed(42, 0); got != 42 {
@@ -42,135 +37,5 @@ func TestReplicateScenario(t *testing.T) {
 	}
 	if n := Replications(Scenario{Replications: 1}); n != 1 {
 		t.Fatalf("Replications of explicit 1 = %d, want 1", n)
-	}
-}
-
-// TestReplicatedSweepOrder checks per-point replicate vectors come back in
-// (point, replicate) order at every pool size, with trial seeds derived
-// from each point's base seed.
-func TestReplicatedSweepOrder(t *testing.T) {
-	points := make([]Scenario, 9)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1, Seed: int64(100 + i), Replications: 3}
-	}
-	stub := func(sc Scenario) (Result, error) {
-		return Result{Items: sc.Nodes, EnergyPerPacket: float64(sc.Seed)}, nil
-	}
-	for _, workers := range []int{0, 1, 2, 8} {
-		res, err := (ReplicatedSweep{Points: points, Run: stub, Workers: workers}).Execute()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res) != len(points) {
-			t.Fatalf("workers=%d: %d vectors, want %d", workers, len(res), len(points))
-		}
-		for i, reps := range res {
-			if len(reps) != 3 {
-				t.Fatalf("workers=%d: point %d has %d replicates, want 3", workers, i, len(reps))
-			}
-			for r, got := range reps {
-				if got.Items != i+1 {
-					t.Fatalf("workers=%d: point %d replicate %d out of order: %+v", workers, i, r, got)
-				}
-				if want := float64(ReplicateSeed(int64(100+i), r)); got.EnergyPerPacket != want {
-					t.Fatalf("workers=%d: point %d replicate %d ran seed %v, want %v", workers, i, r, got.EnergyPerPacket, want)
-				}
-			}
-		}
-	}
-}
-
-// TestReplicatedSweepOnPoint checks the callback fires exactly once per
-// point with the complete replicate vector, and that unreplicated points
-// deliver single-element vectors.
-func TestReplicatedSweepOnPoint(t *testing.T) {
-	points := []Scenario{
-		{Nodes: 1, Seed: 1, Replications: 2},
-		{Nodes: 2, Seed: 2},
-		{Nodes: 3, Seed: 3, Replications: 4},
-	}
-	stub := func(sc Scenario) (Result, error) {
-		return Result{Items: sc.Nodes}, nil
-	}
-	for _, workers := range []int{1, 8} {
-		got := make(map[int][]Result)
-		_, err := (ReplicatedSweep{
-			Points:  points,
-			Run:     stub,
-			Workers: workers,
-			OnPoint: func(i int, sc Scenario, reps []Result) error {
-				if _, dup := got[i]; dup {
-					t.Errorf("workers=%d: point %d delivered twice", workers, i)
-				}
-				if sc.Nodes != points[i].Nodes {
-					t.Errorf("workers=%d: point %d delivered scenario %+v", workers, i, sc)
-				}
-				got[i] = reps
-				return nil
-			},
-		}).Execute()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != 3 || len(got[0]) != 2 || len(got[1]) != 1 || len(got[2]) != 4 {
-			t.Fatalf("workers=%d: replicate vector shapes wrong: %v", workers, got)
-		}
-	}
-}
-
-// TestReplicatedSweepTrialError checks a failing trial aborts the sweep
-// and surfaces through the pool at every size.
-func TestReplicatedSweepTrialError(t *testing.T) {
-	boom := errors.New("trial boom")
-	points := []Scenario{{Nodes: 1, Seed: 1, Replications: 3}}
-	stub := func(sc Scenario) (Result, error) {
-		if sc.Seed == ReplicateSeed(1, 1) {
-			return Result{}, boom
-		}
-		return Result{}, nil
-	}
-	for _, workers := range []int{1, 4} {
-		_, err := (ReplicatedSweep{Points: points, Run: stub, Workers: workers}).Execute()
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want trial boom", workers, err)
-		}
-	}
-}
-
-// TestReplicatedSweepSerialParallelDeterminism is the replication half of
-// the determinism contract: real replicated simulations produce identical
-// replicate vectors at workers=1 and workers=8.
-func TestReplicatedSweepSerialParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps are slow")
-	}
-	points := make([]Scenario, 2)
-	for i, p := range []Protocol{SPMS, SPIN} {
-		points[i] = Scenario{
-			Protocol:       p,
-			Workload:       AllToAll,
-			Nodes:          16,
-			ZoneRadius:     15,
-			PacketsPerNode: 1,
-			Seed:           1,
-			Drain:          1500 * time.Millisecond,
-			Replications:   3,
-		}
-	}
-	serial, err := (ReplicatedSweep{Points: points, Workers: 1}).Execute()
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	parallel, err := (ReplicatedSweep{Points: points, Workers: 8}).Execute()
-	if err != nil {
-		t.Fatalf("workers=8: %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("replicated results diverged:\n--- workers=1\n%+v\n--- workers=8\n%+v", serial, parallel)
-	}
-	// Replicates genuinely differ (different seeds), so the aggregation
-	// has variance to summarize.
-	if serial[0][0] == serial[0][1] && serial[0][1] == serial[0][2] {
-		t.Fatal("all replicates identical — seed derivation is not varying the trials")
 	}
 }

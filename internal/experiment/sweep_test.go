@@ -1,44 +1,115 @@
-package experiment
+// The tests in this file sweep lists of Scenarios. Running more than one
+// scenario goes through campaign.Run, so they live in an external test
+// package that can import campaign, and pin what a sweep of this
+// package's scenarios gets from campaign's trial pool: results in point
+// order at every pool size, each point delivered once with its whole
+// replicate vector, replicate seeds from ReplicateSeed, the lowest
+// failing point's error, sink errors stopping the pool, and scenario
+// validation on every trial.
+package experiment_test
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/experiment"
 )
 
-// TestSweepOrderAndWorkers checks that Execute returns results in point
-// order for any pool size, using a stub Run that tags each result.
+// nodesSweep expands a one-axis sweep whose point i runs Nodes = i+1, so
+// a stub executor can tell the points apart; every point has reps
+// replicates of base seed 1.
+func nodesSweep(t *testing.T, points, reps int) *campaign.Campaign {
+	t.Helper()
+	nodes := make([]int, points)
+	for i := range nodes {
+		nodes[i] = i + 1
+	}
+	c, err := campaign.Expand(campaign.Spec{
+		Name:         "sweep",
+		Base:         experiment.Scenario{Protocol: experiment.SPMS, Workload: experiment.AllToAll, ZoneRadius: 20, Seed: 1},
+		Replications: reps,
+		Axes:         campaign.Axes{Nodes: campaign.IntAxis{Values: nodes}},
+	})
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	return c
+}
+
+// tagRun is a stub executor that tags each result with its scenario's
+// node count and seed.
+func tagRun(sc experiment.Scenario) (experiment.Result, error) {
+	return experiment.Result{Items: sc.Nodes, EnergyPerPacket: float64(sc.Seed)}, nil
+}
+
+// pointSink records deliveries like campaign.MemorySink but first calls
+// point on each one; a non-nil return fails the delivery.
+type pointSink struct {
+	campaign.MemorySink
+	point func(campaign.Point, []experiment.Result) error
+}
+
+func (s *pointSink) Point(p campaign.Point, res experiment.Result) error {
+	if err := s.point(p, []experiment.Result{res}); err != nil {
+		return err
+	}
+	return s.MemorySink.Point(p, res)
+}
+
+func (s *pointSink) Aggregate(p campaign.Point, agg campaign.Aggregate) error {
+	if err := s.point(p, agg.Results); err != nil {
+		return err
+	}
+	return s.MemorySink.Aggregate(p, agg)
+}
+
+// TestSweepOrderAndWorkers checks that a sweep returns results in point
+// order for any pool size, using a stub executor that tags each result.
 func TestSweepOrderAndWorkers(t *testing.T) {
-	points := make([]Scenario, 37)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1} // distinct, identifiable
-	}
-	stub := func(sc Scenario) (Result, error) {
-		return Result{Items: sc.Nodes}, nil
-	}
+	c := nodesSweep(t, 37, 1)
 	for _, workers := range []int{0, 1, 2, 8, 64} {
-		res, err := (Sweep{Points: points, Run: stub, Workers: workers}).Execute()
+		res, err := c.Run(campaign.RunOptions{Workers: workers, Run: tagRun})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(res) != len(points) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(res), len(points))
+		if len(res) != len(c.Points) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(res), len(c.Points))
 		}
 		for i, r := range res {
-			if r.Items != i+1 {
+			if len(r) != 1 || r[0].Items != i+1 {
 				t.Fatalf("workers=%d: result %d out of order: %+v", workers, i, r)
 			}
 		}
 	}
 }
 
-// TestSweepEmpty checks the empty sweep is a no-op, not a hang or panic.
+// TestSweepEmpty checks a sweep with no points to run — an empty point
+// range — is a no-op, not a hang or panic.
 func TestSweepEmpty(t *testing.T) {
-	res, err := (Sweep{}).Execute()
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty sweep: res=%v err=%v", res, err)
+	c := nodesSweep(t, 4, 1)
+	var runs atomic.Int64
+	counting := func(sc experiment.Scenario) (experiment.Result, error) {
+		runs.Add(1)
+		return tagRun(sc)
+	}
+	mem := &campaign.MemorySink{}
+	res, err := c.Run(campaign.RunOptions{Sinks: []campaign.Sink{mem}, Run: counting, Range: &campaign.PointRange{Lo: 2, Hi: 2}})
+	if err != nil {
+		t.Fatalf("empty sweep: %v", err)
+	}
+	for i, r := range res {
+		if r != nil {
+			t.Fatalf("empty sweep returned point %d: %+v", i, r)
+		}
+	}
+	if runs.Load() != 0 || len(mem.Points) != 0 || !mem.Closed {
+		t.Fatalf("empty sweep: %d ran, %d streamed, closed=%v; want 0, 0, true", runs.Load(), len(mem.Points), mem.Closed)
 	}
 }
 
@@ -46,19 +117,16 @@ func TestSweepEmpty(t *testing.T) {
 // lowest-indexed failing point regardless of completion order, matching
 // what a point-by-point run surfaces first.
 func TestSweepFirstErrorWins(t *testing.T) {
-	points := make([]Scenario, 16)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
+	c := nodesSweep(t, 16, 1)
 	boom := errors.New("boom")
-	stub := func(sc Scenario) (Result, error) {
+	stub := func(sc experiment.Scenario) (experiment.Result, error) {
 		if sc.Nodes >= 5 { // points 4.. all fail
-			return Result{}, fmt.Errorf("n=%d: %w", sc.Nodes, boom)
+			return experiment.Result{}, fmt.Errorf("n=%d: %w", sc.Nodes, boom)
 		}
-		return Result{}, nil
+		return tagRun(sc)
 	}
 	for _, workers := range []int{1, 8} {
-		_, err := (Sweep{Points: points, Run: stub, Workers: workers}).Execute()
+		_, err := c.Run(campaign.RunOptions{Workers: workers, Run: stub})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err=%v, want wrapped boom", workers, err)
 		}
@@ -68,121 +136,115 @@ func TestSweepFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestSweepRealScenarioValidation checks the default Run path propagates
-// scenario validation errors through the pool.
+// TestSweepRealScenarioValidation checks an invalid scenario never
+// simulates: expansion rejects it, and the default executor validates
+// every trial, so a point that is invalid by the time it runs fails
+// through the pool.
 func TestSweepRealScenarioValidation(t *testing.T) {
-	_, err := (Sweep{Points: []Scenario{{}}, Workers: 4}).Execute()
+	if _, err := campaign.Expand(campaign.Spec{Name: "invalid", Base: experiment.Scenario{Nodes: -1}}); err == nil {
+		t.Fatal("invalid scenario expanded")
+	}
+	c := nodesSweep(t, 1, 1)
+	c.Points[0].Scenario = experiment.Scenario{}
+	_, err := c.Run(campaign.RunOptions{Workers: 4})
 	if err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
 
-// TestSweepOnPoint checks the streaming callback fires exactly once per
-// point with the matching scenario/result pair, at every pool size. Calls
-// are serialized by Sweep, so the unsynchronized map below is also a race
-// check under -race.
+// TestSweepOnPoint checks the sinks see exactly one delivery per point
+// with the matching scenario/result pair, at every pool size. Deliveries
+// are serialized by the pool, so the unsynchronized map below is also a
+// race check under -race.
 func TestSweepOnPoint(t *testing.T) {
-	points := make([]Scenario, 53)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
-	stub := func(sc Scenario) (Result, error) {
-		return Result{Items: sc.Nodes}, nil
-	}
+	c := nodesSweep(t, 53, 1)
 	for _, workers := range []int{1, 8} {
-		got := make(map[int]Result)
-		_, err := (Sweep{
-			Points:  points,
-			Run:     stub,
-			Workers: workers,
-			OnPoint: func(i int, sc Scenario, res Result) error {
-				if _, dup := got[i]; dup {
-					t.Errorf("workers=%d: point %d delivered twice", workers, i)
-				}
-				if sc.Nodes != i+1 || res.Items != i+1 {
-					t.Errorf("workers=%d: point %d got sc.Nodes=%d res.Items=%d", workers, i, sc.Nodes, res.Items)
-				}
-				got[i] = res
-				return nil
-			},
-		}).Execute()
+		got := make(map[int]experiment.Result)
+		sink := &pointSink{point: func(p campaign.Point, reps []experiment.Result) error {
+			i := p.Index
+			if _, dup := got[i]; dup {
+				t.Errorf("workers=%d: point %d delivered twice", workers, i)
+			}
+			if p.Scenario.Nodes != i+1 || reps[0].Items != i+1 {
+				t.Errorf("workers=%d: point %d got sc.Nodes=%d res.Items=%d", workers, i, p.Scenario.Nodes, reps[0].Items)
+			}
+			got[i] = reps[0]
+			return nil
+		}}
+		_, err := c.Run(campaign.RunOptions{Workers: workers, Sinks: []campaign.Sink{sink}, Run: tagRun})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(points) {
-			t.Fatalf("workers=%d: %d callbacks, want %d", workers, len(got), len(points))
+		if len(got) != len(c.Points) {
+			t.Fatalf("workers=%d: %d deliveries, want %d", workers, len(got), len(c.Points))
 		}
 	}
 }
 
-// TestSweepOnPointErrorAborts checks a callback error stops the sweep:
-// serial execution stops immediately after the failing delivery, parallel
+// TestSweepOnPointErrorAborts checks a sink error stops the sweep: serial
+// execution stops immediately after the failing delivery, parallel
 // execution stops claiming points and surfaces the error.
 func TestSweepOnPointErrorAborts(t *testing.T) {
-	points := make([]Scenario, 24)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
+	c := nodesSweep(t, 24, 1)
 	boom := errors.New("sink boom")
 
 	var runs atomic.Int64
-	stub := func(sc Scenario) (Result, error) {
+	stub := func(sc experiment.Scenario) (experiment.Result, error) {
 		runs.Add(1)
-		return Result{Items: sc.Nodes}, nil
+		return tagRun(sc)
 	}
-	cb := func(i int, _ Scenario, _ Result) error {
-		if i == 2 {
-			return boom
-		}
-		return nil
+	failAt2 := func() campaign.Sink {
+		return &pointSink{point: func(p campaign.Point, _ []experiment.Result) error {
+			if p.Index == 2 {
+				return boom
+			}
+			return nil
+		}}
 	}
 
-	_, err := (Sweep{Points: points, Run: stub, Workers: 1, OnPoint: cb}).Execute()
+	_, err := c.Run(campaign.RunOptions{Workers: 1, Sinks: []campaign.Sink{failAt2()}, Run: stub})
 	if !errors.Is(err, boom) {
 		t.Fatalf("workers=1: err = %v, want sink boom", err)
 	}
 	if got := runs.Load(); got != 3 {
-		t.Fatalf("workers=1: %d points ran after callback error at point 2, want exactly 3", got)
+		t.Fatalf("workers=1: %d points ran after sink error at point 2, want exactly 3", got)
 	}
 
-	_, err = (Sweep{Points: points, Run: stub, Workers: 8, OnPoint: cb}).Execute()
+	_, err = c.Run(campaign.RunOptions{Workers: 8, Sinks: []campaign.Sink{failAt2()}, Run: stub})
 	if !errors.Is(err, boom) {
 		t.Fatalf("workers=8: err = %v, want sink boom", err)
 	}
 }
 
 // TestSweepOnPointErrorStopsClaiming pins the parallel abort contract
-// exactly: after a callback error, workers stop claiming points. The
-// second worker's points are gated on the failure having happened, so the
-// run count is deterministic — point 0 (whose delivery errors) and point 1
+// exactly: after a sink error, workers stop claiming points. The second
+// worker's points are gated on the failure having happened, so the run
+// count is deterministic — point 0 (whose delivery errors) and point 1
 // (in flight when it does) execute; nothing else may.
 func TestSweepOnPointErrorStopsClaiming(t *testing.T) {
-	points := make([]Scenario, 24)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
+	c := nodesSweep(t, 24, 1)
 	boom := errors.New("sink boom")
 	aborted := make(chan struct{})
 
 	var runs atomic.Int64
-	stub := func(sc Scenario) (Result, error) {
+	stub := func(sc experiment.Scenario) (experiment.Result, error) {
 		runs.Add(1)
 		if sc.Nodes > 1 {
 			// Hold every later point until the sink has already failed, so
 			// any claim after this one is provably post-abort.
 			<-aborted
 		}
-		return Result{Items: sc.Nodes}, nil
+		return tagRun(sc)
 	}
-	cb := func(i int, _ Scenario, _ Result) error {
-		if i == 0 {
+	sink := &pointSink{point: func(p campaign.Point, _ []experiment.Result) error {
+		if p.Index == 0 {
 			close(aborted)
 			return boom
 		}
 		return nil
-	}
+	}}
 
-	_, err := (Sweep{Points: points, Run: stub, Workers: 2, OnPoint: cb}).Execute()
+	_, err := c.Run(campaign.RunOptions{Workers: 2, Sinks: []campaign.Sink{sink}, Run: stub})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink boom", err)
 	}
@@ -194,193 +256,137 @@ func TestSweepOnPointErrorStopsClaiming(t *testing.T) {
 	}
 }
 
-// TestSweepPointErrorBeatsOnPointError pins the precedence contract under
-// Workers > 1: when a point failure and a sink failure both occur in one
-// parallel sweep, Execute deterministically reports the point's error no
-// matter which lands first. Channel gating makes both failures happen in
-// every schedule: the callback for point 0 cannot return its error until
-// point 1's run has started failing, and point 1 is always claimed
-// because no failure can be recorded before then. (Serial sweeps stop at
-// the first failure in point order, so the race only exists in parallel.)
-func TestSweepPointErrorBeatsOnPointError(t *testing.T) {
-	pointErr := errors.New("point boom")
-	sinkErr := errors.New("sink boom")
-	for try := 0; try < 25; try++ {
-		point1Started := make(chan struct{})
-		stub := func(sc Scenario) (Result, error) {
-			if sc.Nodes == 2 {
-				close(point1Started)
-				return Result{}, pointErr
-			}
-			return Result{Items: sc.Nodes}, nil
-		}
-		cb := func(i int, _ Scenario, _ Result) error {
-			<-point1Started
-			return sinkErr
-		}
-		_, err := (Sweep{
-			Points:  []Scenario{{Nodes: 1}, {Nodes: 2}},
-			Run:     stub,
-			Workers: 2,
-			OnPoint: cb,
-		}).Execute()
-		if !errors.Is(err, pointErr) {
-			t.Fatalf("try %d: err = %v, want the point error to take precedence over the sink error", try, err)
-		}
-	}
-}
-
-// TestSweepPanicRecovered checks a panicking trial surfaces as an ordinary
-// point error carrying the panic value and a stack trace, at every pool
-// size — one bad trial must not take down the process.
-func TestSweepPanicRecovered(t *testing.T) {
-	points := make([]Scenario, 8)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
-	stub := func(sc Scenario) (Result, error) {
-		if sc.Nodes == 3 {
-			panic("kaboom at n=3")
-		}
-		return Result{Items: sc.Nodes}, nil
-	}
-	for _, workers := range []int{1, 8} {
-		_, err := (Sweep{Points: points, Run: stub, Workers: workers}).Execute()
-		if err == nil {
-			t.Fatalf("workers=%d: panic swallowed", workers)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want a wrapped *PanicError", workers, err)
-		}
-		if pe.Value != "kaboom at n=3" {
-			t.Fatalf("workers=%d: panic value = %v, want the original value", workers, pe.Value)
-		}
-		if !strings.Contains(string(pe.Stack), "sweep_test.go") {
-			t.Fatalf("workers=%d: stack does not name the panic site:\n%s", workers, pe.Stack)
-		}
-		if !strings.Contains(err.Error(), "point 2") {
-			t.Fatalf("workers=%d: err = %v, want the failing point's index", workers, err)
-		}
-	}
-}
-
-// TestSweepCancelSerial pins one-worker cancellation: the check happens
-// before each claim, so closing Cancel during point k's delivery runs
-// exactly k+1 points and returns ErrCancelled.
-func TestSweepCancelSerial(t *testing.T) {
-	points := make([]Scenario, 10)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
-	cancel := make(chan struct{})
-	var runs atomic.Int64
-	stub := func(sc Scenario) (Result, error) {
-		runs.Add(1)
-		return Result{Items: sc.Nodes}, nil
-	}
-	_, err := (Sweep{
-		Points:  points,
-		Run:     stub,
-		Workers: 1,
-		Cancel:  cancel,
-		OnPoint: func(i int, _ Scenario, _ Result) error {
-			if i == 2 {
-				close(cancel)
-			}
-			return nil
+// TestReplicatedSweepOrder checks per-point replicate vectors come back in
+// (point, replicate) order at every pool size, with trial seeds derived
+// from each point's base seed.
+func TestReplicatedSweepOrder(t *testing.T) {
+	// Point i runs nodes i/3+1 at base seed 100+i%3.
+	c, err := campaign.Expand(campaign.Spec{
+		Name:         "replicated",
+		Base:         experiment.Scenario{Protocol: experiment.SPMS, Workload: experiment.AllToAll, ZoneRadius: 20},
+		Replications: 3,
+		Axes: campaign.Axes{
+			Nodes: campaign.IntAxis{Values: []int{1, 2, 3}},
+			Seed:  campaign.SeedAxis{Values: []int64{100, 101, 102}},
 		},
-	}).Execute()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	})
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
 	}
-	if got := runs.Load(); got != 3 {
-		t.Fatalf("%d points ran after cancel during point 2, want exactly 3", got)
-	}
-
-	// A pre-closed Cancel stops the sweep before any work.
-	closed := make(chan struct{})
-	close(closed)
-	runs.Store(0)
-	_, err = (Sweep{Points: points, Run: stub, Workers: 1, Cancel: closed}).Execute()
-	if !errors.Is(err, ErrCancelled) || runs.Load() != 0 {
-		t.Fatalf("pre-cancelled sweep: err=%v runs=%d, want ErrCancelled and zero runs", err, runs.Load())
-	}
-}
-
-// TestSweepCancelDrainsInFlight pins the parallel drain contract: after
-// Cancel closes, workers claim nothing new, but every point already in
-// flight runs to completion AND is delivered through OnPoint — exactly
-// what lets the campaign journal each drained point before exit.
-func TestSweepCancelDrainsInFlight(t *testing.T) {
-	points := make([]Scenario, 24)
-	for i := range points {
-		points[i] = Scenario{Nodes: i + 1}
-	}
-	cancel := make(chan struct{})
-	var runs atomic.Int64
-	stub := func(sc Scenario) (Result, error) {
-		runs.Add(1)
-		if sc.Nodes > 1 {
-			// Hold later points until cancellation has happened, so any
-			// claim after this one is provably post-cancel.
-			<-cancel
+	for _, workers := range []int{0, 1, 2, 8} {
+		res, err := c.Run(campaign.RunOptions{Workers: workers, Run: tagRun})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return Result{Items: sc.Nodes}, nil
-	}
-	delivered := make(map[int]bool)
-	_, err := (Sweep{
-		Points:  points,
-		Run:     stub,
-		Workers: 2,
-		Cancel:  cancel,
-		OnPoint: func(i int, _ Scenario, _ Result) error {
-			delivered[i] = true
-			if i == 0 {
-				close(cancel)
-			}
-			return nil
-		},
-	}).Execute()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	// Point 0 always runs; point 1 may have been claimed before cancel. No
-	// third point may be claimed, and — the drain contract — every point
-	// that ran must have been delivered.
-	if got := runs.Load(); got < 1 || got > 2 {
-		t.Fatalf("%d points ran, want 1 or 2 — workers kept claiming after cancel", got)
-	}
-	if int64(len(delivered)) != runs.Load() {
-		t.Fatalf("%d points ran but %d were delivered — in-flight work was dropped, not drained", runs.Load(), len(delivered))
-	}
-}
-
-// TestReplicatedSweepCancel checks Cancel passes through ReplicatedSweep
-// with the same sentinel, and that cancellation can not deliver a
-// partially-replicated point.
-func TestReplicatedSweepCancel(t *testing.T) {
-	points := []Scenario{{Nodes: 1, Replications: 3}, {Nodes: 2, Replications: 3}}
-	cancel := make(chan struct{})
-	stub := func(sc Scenario) (Result, error) {
-		return Result{Items: sc.Nodes}, nil
-	}
-	_, err := (ReplicatedSweep{
-		Points:  points,
-		Run:     stub,
-		Workers: 1,
-		Cancel:  cancel,
-		OnPoint: func(i int, _ Scenario, reps []Result) error {
+		if len(res) != 9 {
+			t.Fatalf("workers=%d: %d vectors, want 9", workers, len(res))
+		}
+		for i, reps := range res {
 			if len(reps) != 3 {
-				t.Errorf("point %d delivered with %d replicates, want 3", i, len(reps))
+				t.Fatalf("workers=%d: point %d has %d replicates, want 3", workers, i, len(reps))
 			}
-			if i == 0 {
-				close(cancel)
+			for r, got := range reps {
+				if got.Items != i/3+1 {
+					t.Fatalf("workers=%d: point %d replicate %d out of order: %+v", workers, i, r, got)
+				}
+				if want := float64(experiment.ReplicateSeed(int64(100+i%3), r)); got.EnergyPerPacket != want {
+					t.Fatalf("workers=%d: point %d replicate %d ran seed %v, want %v", workers, i, r, got.EnergyPerPacket, want)
+				}
 			}
-			return nil
+		}
+	}
+}
+
+// TestReplicatedSweepOnPoint checks the sinks see exactly one delivery
+// per point with the complete replicate vector, and that unreplicated
+// sweeps deliver single-element vectors.
+func TestReplicatedSweepOnPoint(t *testing.T) {
+	for _, reps := range []int{2, 1, 4} {
+		c := nodesSweep(t, 3, reps)
+		for _, workers := range []int{1, 8} {
+			got := make(map[int][]experiment.Result)
+			sink := &pointSink{point: func(p campaign.Point, vec []experiment.Result) error {
+				if _, dup := got[p.Index]; dup {
+					t.Errorf("reps=%d workers=%d: point %d delivered twice", reps, workers, p.Index)
+				}
+				if p.Scenario.Nodes != p.Index+1 {
+					t.Errorf("reps=%d workers=%d: point %d delivered scenario %+v", reps, workers, p.Index, p.Scenario)
+				}
+				got[p.Index] = vec
+				return nil
+			}}
+			res, err := c.Run(campaign.RunOptions{Workers: workers, Sinks: []campaign.Sink{sink}, Run: tagRun})
+			if err != nil {
+				t.Fatalf("reps=%d workers=%d: %v", reps, workers, err)
+			}
+			if len(got) != 3 {
+				t.Fatalf("reps=%d workers=%d: %d deliveries, want 3", reps, workers, len(got))
+			}
+			for i := range res {
+				if vec := got[i]; len(vec) != reps || !reflect.DeepEqual(vec, res[i]) {
+					t.Fatalf("reps=%d workers=%d: point %d delivered %v, want Run's %d-replicate vector %v", reps, workers, i, vec, reps, res[i])
+				}
+			}
+		}
+	}
+}
+
+// TestReplicatedSweepTrialError checks a failing trial aborts the sweep
+// and surfaces through the pool at every size.
+func TestReplicatedSweepTrialError(t *testing.T) {
+	boom := errors.New("trial boom")
+	c := nodesSweep(t, 1, 3)
+	stub := func(sc experiment.Scenario) (experiment.Result, error) {
+		if sc.Seed == experiment.ReplicateSeed(1, 1) {
+			return experiment.Result{}, boom
+		}
+		return tagRun(sc)
+	}
+	for _, workers := range []int{1, 4} {
+		_, err := c.Run(campaign.RunOptions{Workers: workers, Run: stub})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want trial boom", workers, err)
+		}
+	}
+}
+
+// TestReplicatedSweepSerialParallelDeterminism is the replication half of
+// the determinism contract: real replicated simulations produce identical
+// replicate vectors at workers=1 and workers=8.
+func TestReplicatedSweepSerialParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweeps are slow")
+	}
+	c, err := campaign.Expand(campaign.Spec{
+		Name: "replicated-determinism",
+		Base: experiment.Scenario{
+			Workload:       experiment.AllToAll,
+			Nodes:          16,
+			ZoneRadius:     15,
+			PacketsPerNode: 1,
+			Seed:           1,
+			Drain:          1500 * time.Millisecond,
 		},
-	}).Execute()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+		Replications: 3,
+		Axes:         campaign.Axes{Protocol: []experiment.Protocol{experiment.SPMS, experiment.SPIN}},
+	})
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	serial, err := c.Run(campaign.RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("workers=1: %v", err)
+	}
+	parallel, err := c.Run(campaign.RunOptions{Workers: 8})
+	if err != nil {
+		t.Fatalf("workers=8: %v", err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("replicated results diverged:\n--- workers=1\n%+v\n--- workers=8\n%+v", serial, parallel)
+	}
+	// Replicates genuinely differ (different seeds), so the aggregation
+	// has variance to summarize.
+	if serial[0][0] == serial[0][1] && serial[0][1] == serial[0][2] {
+		t.Fatal("all replicates identical — seed derivation is not varying the trials")
 	}
 }

@@ -11,13 +11,13 @@ import (
 //
 //  1. Call-site domination. A call through a nillable function-typed
 //     struct field — one the package itself ever compares against nil or
-//     assigns nil to, like network.Network.trace behind SetTrace, or the
-//     sweep pool's OnStart/OnPoint — must be dominated by a nil check:
-//     inside `if x.f != nil { ... }` (possibly as one conjunct of &&), in
-//     the else of `if x.f == nil`, or after an early `if x.f == nil {
-//     return }` bail in an enclosing block. Fields never compared to nil
-//     are treated as always-set and exempt — the analyzer keys off the
-//     package's own declaration that a hook is optional.
+//     assigns nil to, like network.Network.trace behind SetTrace — must
+//     be dominated by a nil check: inside `if x.f != nil { ... }`
+//     (possibly as one conjunct of &&), in the else of `if x.f == nil`,
+//     or after an early `if x.f == nil { return }` bail in an enclosing
+//     block. Fields never compared to nil are treated as always-set and
+//     exempt — the analyzer keys off the package's own declaration that
+//     a hook is optional.
 //
 //  2. Receiver guards. Exported pointer-receiver methods of the
 //     configured nil-safe hook types (obs.RunObserver, obs.Timeline,

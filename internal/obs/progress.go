@@ -1,6 +1,7 @@
 // progress.go is the live campaign telemetry: a concurrency-safe progress
-// tracker fed by the sweep pool's start/done hooks, a stderr heartbeat for
-// long-running campaigns, and a JSON snapshot the debug server serves.
+// tracker fed by the campaign trial pool as it claims trials and finishes
+// points, a stderr heartbeat for long-running campaigns, and a JSON
+// snapshot the debug server serves.
 package obs
 
 import (
@@ -13,7 +14,7 @@ import (
 )
 
 // CampaignProgress tracks a campaign run's point-level progress. All
-// methods are safe for concurrent use (sweep workers report starts and
+// methods are safe for concurrent use (pool workers report starts and
 // completions from their own goroutines) and safe on a nil receiver, so
 // the campaign runner wires the hooks unconditionally.
 type CampaignProgress struct {

@@ -1,5 +1,5 @@
 // job.go is the job lifecycle: one submitted campaign (or shard of one)
-// running on the sweep pool, its finished points buffered as JSONL lines
+// running through campaign.Run, its finished points buffered as JSONL lines
 // for streaming, its progress tracked by an obs.CampaignProgress
 // registered in the process-wide registry, and — when the manager has a
 // checkpoint root — its completions journaled write-ahead so a daemon
@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 )
 
@@ -170,7 +169,7 @@ func (j *Job) run(cfg Config) {
 	switch {
 	case err == nil:
 		j.setState(JobDone, "")
-	case errors.Is(err, experiment.ErrCancelled):
+	case errors.Is(err, campaign.ErrCancelled):
 		j.setState(JobCancelled, "")
 	default:
 		j.setState(JobFailed, err.Error())

@@ -1,8 +1,8 @@
 // Package service is the campaign service shell (DESIGN.md §14): the
 // long-running daemon behind `campaign serve`. It accepts campaign specs
-// over HTTP (POST /v1/jobs → job id), runs them on the existing sweep
-// pool, and streams finished points back as JSONL — plain or SSE-framed —
-// while every durability property of the CLI path carries over unchanged:
+// over HTTP (POST /v1/jobs → job id), runs them through campaign.Run, and
+// streams finished points back as JSONL — plain or SSE-framed — while
+// every durability property of the CLI path carries over unchanged:
 // per-job write-ahead journals make jobs resumable across daemon
 // restarts, the content-addressed result cache is shared across jobs and
 // campaigns, and a drain (DELETE, or process shutdown) finishes in-flight
@@ -48,7 +48,7 @@ type Config struct {
 	// Cache, when non-nil, is the content-addressed result cache shared
 	// by every job (and by any CLI run pointed at the same directory).
 	Cache *checkpoint.Cache
-	// Workers bounds each job's sweep pool; zero means one per core.
+	// Workers bounds each job's trial pool; zero means one per core.
 	// Concurrent jobs each get their own pool.
 	Workers int
 	// SimWorkers bounds the data-parallel kernels inside each simulation.

@@ -16,7 +16,7 @@
 // so a caller iterating a list while *other* nodes rebuild theirs is safe.
 // This is sound under the DESIGN.md §5.1 concurrency contract: a Field
 // belongs to exactly one single-threaded scheduler, so no query can race a
-// mobility event, and sweep workers never share a Field.
+// mobility event, and campaign pool workers never share a Field.
 //
 // # Epoch invalidation
 //
