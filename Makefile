@@ -1,11 +1,10 @@
 # Developer entry points. The repository is plain `go build`/`go test`;
-# these targets just bundle the flags the CI pipeline and the perf
-# trajectory (BENCH_<date>.json snapshots) standardize on.
+# these targets just bundle the flags the CI pipeline standardizes on.
+# Performance is measured by `bash perfbench/run.sh` (BENCHMARK.json).
 
 GO ?= go
-DATE := $(shell date +%F)
 
-.PHONY: all build test race lint cover fuzz-smoke golden-update bench bench-smoke figures clean
+.PHONY: all build test race lint cover fuzz-smoke golden-update figures clean
 
 all: build
 
@@ -42,25 +41,8 @@ fuzz-smoke:
 golden-update:
 	$(GO) test -run TestGolden -update -count=1 .
 
-# bench runs the full benchmark suite once (-benchtime=1x -benchmem) and
-# writes machine-readable results to BENCH_<date>.json. Commit a snapshot
-# alongside performance-affecting PRs; see DESIGN.md §7.
-bench:
-	$(GO) run ./cmd/benchjson -bench . -sims -out BENCH_$(DATE).json
-
-# bench-smoke is the CI variant: just the topology, scheduler and routing
-# micro-benchmarks plus a timed quick-scale campaign, written to bench.json
-# for artifact upload. BenchmarkDBFCompute's rounds and broadcasts metrics
-# are deterministic: if either moves in the artifact, the DBF semantics
-# changed.
-bench-smoke:
-	$(GO) run ./cmd/benchjson \
-		-bench 'BenchmarkReachedBy|BenchmarkContenders|BenchmarkZoneNeighborsRebuild|BenchmarkScheduler|BenchmarkDBFCompute' \
-		-campaign examples/campaigns/fig8.json \
-		-out bench.json
-
 figures:
 	$(GO) run ./cmd/figures -quick
 
 clean:
-	rm -f bench.json coverage.out
+	rm -f coverage.out

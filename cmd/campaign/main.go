@@ -70,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -142,7 +141,7 @@ func load(specPath string, replications int) (*campaign.Campaign, int) {
 
 func runCampaign(specPath string, args []string) int {
 	fs := flag.NewFlagSet("campaign run", flag.ExitOnError)
-	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
+	parallel := fs.Int("parallel", 0, "trial pool size: trials run at once (0 = all cores, 1 = serial)")
 	jsonlPath := fs.String("jsonl", "-", `JSONL output: "-" for stdout, a path, or "" to disable`)
 	csvPath := fs.String("csv", "", `CSV output: "-" for stdout, a path, or "" to disable`)
 	replications := fs.Int("replications", 0, "override the spec's replication count (0 = use the spec's)")
@@ -164,7 +163,7 @@ func runCampaign(specPath string, args []string) int {
 		return 2
 	}
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		return 1
@@ -337,7 +336,7 @@ func serveCampaigns(args []string) int {
 	addr := fs.String("addr", ":8080", `listen address (host:port; ":0" picks a free port, printed to stderr)`)
 	checkpointRoot := fs.String("checkpoint", "", "checkpoint root: every job journals into its own subdirectory and unfinished jobs resume on daemon restart")
 	cacheDir := fs.String("cache", "", "content-addressed result cache directory shared by every job (and by CLI runs pointed at it)")
-	parallel := fs.Int("parallel", 0, "per-job sweep worker pool size (0 = all cores, 1 = serial)")
+	parallel := fs.Int("parallel", 0, "per-job trial pool size: trials each job runs at once (0 = all cores, 1 = serial)")
 	simWorkers := fs.Int("sim-workers", 0, "goroutines for the data-parallel kernels inside each simulation (0/1 = serial)")
 	retries := fs.Int("retries", 0, "re-execute a failed trial up to N more times (same seed — deterministic)")
 	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "wait before the first retry, doubling per attempt")
@@ -457,42 +456,6 @@ func shellQuote(s string) string {
 		return s
 	}
 	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
-}
-
-// startProfiles arms the requested pprof outputs and returns the teardown
-// that stops the CPU profile and snapshots the heap. The no-op teardown on
-// error keeps the caller's defer unconditional.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	writeHeap := func() {
-		if memPath == "" {
-			return
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-		}
-	}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return func() {}, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return func() {}, err
-		}
-		return func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			writeHeap()
-		}, nil
-	}
-	return writeHeap, nil
 }
 
 func expandCampaign(specPath string, args []string) int {

@@ -9,14 +9,14 @@
 // Without -only it renders Table 1, Figures 3 and 5 (analytic), Figures
 // 6–13 (simulation), and the §5.1.3 mobility break-even threshold. -quick
 // runs the reduced workload (2 packets/node, smaller sweeps) instead of the
-// paper-scale one. Simulation sweeps execute on a worker pool, one point
-// per goroutine; -parallel bounds the pool (default all cores). Output is
-// byte-identical at every pool size — scenarios are independent seeded
-// runs reassembled in point order. -replications N (N > 1) averages every
-// simulated series over N seed-derived trials, as the paper does, adding
-// a ± column (95% CI half-width) per series. The command exits 2 on a bad
-// flag value or an unknown -only id, and 1 when a simulation or a write
-// fails.
+// paper-scale one. Simulated figures run on the campaign trial pool, one
+// trial per goroutine; -parallel bounds the pool (default all cores).
+// Output is byte-identical at every pool size — scenarios are independent
+// seeded runs reassembled in point order. -replications N (N > 1) averages
+// every simulated series over N seed-derived trials, as the paper does,
+// adding a ± column (95% CI half-width) per series. The command exits 2 on
+// a bad flag value or an unknown -only id, and 1 when a simulation or a
+// write fails.
 package main
 
 import (
@@ -40,7 +40,7 @@ func run() int {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	only := flag.String("only", "", "comma-separated subset: table1,fig3,fig5,fig6,...,fig13,mobility-threshold")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "trial pool size: trials run at once (0 = all cores, 1 = serial)")
 	replications := flag.Int("replications", 1, "seed-derived trials per sweep point; above 1 adds ± (95% CI) columns")
 	flag.Parse()
 

@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/campaign"
@@ -93,7 +92,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
 		return 1
@@ -349,44 +348,6 @@ func writeObsOutputs(o *obs.RunObserver, traceFile *os.File, tracePath, timeline
 		}
 	}
 	return 0
-}
-
-// startProfiles arms the requested pprof outputs and returns the teardown
-// that stops the CPU profile and snapshots the heap. The no-op teardown on
-// error keeps the caller's defer unconditional.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return func() {}, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return func() {}, err
-		}
-		return func() {
-			pprof.StopCPUProfile()
-			f.Close()
-			writeHeapProfile(memPath)
-		}, nil
-	}
-	return func() { writeHeapProfile(memPath) }, nil
-}
-
-// writeHeapProfile snapshots the heap to path; "" means no profile.
-func writeHeapProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-	}
 }
 
 // runReplicated runs the scenario's seed-derived trials as a one-point

@@ -384,6 +384,33 @@ func TestConvergenceRoundsBounded(t *testing.T) {
 	}
 }
 
+// TestDBFCountsPinned pins the DBF's deterministic rounds and broadcasts
+// on BenchmarkDBFCompute's fields at the paper's 5 m spacing and 20 m zone
+// radius: the 169-node grid, the 225-node grid, and that grid after a 5%
+// relocation. If a count moves, the DBF's update semantics changed.
+func TestDBFCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		n                  int
+		relocate           float64
+		rounds, broadcasts int
+	}{
+		{"grid-169", 169, 0, 25, 3289},
+		{"grid-225", 225, 0, 29, 5055},
+		{"grid-225-relocated", 225, 0.05, 30, 5169},
+	} {
+		f := gridField(t, c.n, 5, 20)
+		f.RelocateFraction(c.relocate, sim.NewRNG(1))
+		for _, w := range []int{1, 4} {
+			tbl := ComputeWorkers(BuildGraphWorkers(f, w), DefaultAlternatives, w)
+			if tbl.Rounds() != c.rounds || tbl.Broadcasts() != c.broadcasts {
+				t.Errorf("%s workers=%d: rounds/broadcasts %d/%d, want %d/%d",
+					c.name, w, tbl.Rounds(), tbl.Broadcasts(), c.rounds, c.broadcasts)
+			}
+		}
+	}
+}
+
 func TestNodeBroadcastsSumToTotal(t *testing.T) {
 	f := gridField(t, 25, 5, 12)
 	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -358,21 +360,32 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want end/done", end)
 	}
 
-	// Reconnect with Last-Event-ID resumes after the named point.
-	req, _ = http.NewRequest("GET", srv.URL+"/v1/jobs/"+st.ID+"/results", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set("Last-Event-ID", "7")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("GET SSE resume: %v", err)
-	}
-	events = parseSSE(t, resp.Body)
-	resp.Body.Close()
-	if len(events) != 5 { // points 8..11 + end
-		t.Fatalf("%d resumed events, want 5", len(events))
-	}
-	if events[0].id != "8" {
-		t.Fatalf("resumed stream starts at id %q, want 8", events[0].id)
+	// Reconnect with Last-Event-ID resumes after the named point; an id
+	// at or past the last point resumes at the end, even at the int limit.
+	for _, c := range []struct {
+		last    string
+		events  int
+		firstID string
+	}{
+		{"7", 5, "8"}, // points 8..11 + end
+		{"11", 1, ""},
+		{strconv.Itoa(math.MaxInt), 1, ""},
+	} {
+		req, _ = http.NewRequest("GET", srv.URL+"/v1/jobs/"+st.ID+"/results", nil)
+		req.Header.Set("Accept", "text/event-stream")
+		req.Header.Set("Last-Event-ID", c.last)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET SSE resume after %s: %v", c.last, err)
+		}
+		events = parseSSE(t, resp.Body)
+		resp.Body.Close()
+		if len(events) != c.events {
+			t.Fatalf("resume after %s: %d events, want %d", c.last, len(events), c.events)
+		}
+		if events[0].id != c.firstID {
+			t.Fatalf("resume after %s starts at id %q, want %q", c.last, events[0].id, c.firstID)
+		}
 	}
 
 	// List.

@@ -130,7 +130,10 @@ func serveResults(w http.ResponseWriter, r *http.Request, j *Job) {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q: %w", last, err))
 				return
 			}
-			offset = clampOffset(n+1, j.rng.Lo, j.rng.Hi)
+			if n < j.rng.Hi {
+				n++ // resume after the last point received; n < Hi cannot wrap
+			}
+			offset = clampOffset(n, j.rng.Lo, j.rng.Hi)
 		}
 		w.Header().Set("Content-Type", "text/event-stream")
 	} else {
@@ -175,16 +178,17 @@ func serveResults(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 // clampOffset converts an absolute point index into a stream offset
-// inside the job's [lo, hi) range, clamped to [0, range size].
+// inside the job's [lo, hi) range, clamped to [0, range size]. The index
+// comes from the client, so it is compared with the bounds before lo is
+// subtracted: pointIndex-lo wraps at the int extremes.
 func clampOffset(pointIndex, lo, hi int) int {
-	off := pointIndex - lo
-	if off < 0 {
+	switch {
+	case pointIndex <= lo:
 		return 0
-	}
-	if off > hi-lo {
+	case pointIndex >= hi:
 		return hi - lo
 	}
-	return off
+	return pointIndex - lo
 }
 
 // httpError writes a JSON error body.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -175,6 +176,8 @@ func TestClampOffset(t *testing.T) {
 		{6, 6, 12, 0},
 		{8, 6, 12, 2},
 		{2, 6, 12, 0},
+		{math.MaxInt, 0, 12, 12},
+		{math.MinInt, 8, 12, 0},
 	}
 	for _, c := range cases {
 		if got := clampOffset(c.pointIndex, c.lo, c.hi); got != c.want {

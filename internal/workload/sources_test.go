@@ -1,8 +1,8 @@
 package workload
 
 // Tests for source-restricted workloads: AllToAllSources / ClusteredSources
-// must reproduce the unrestricted generators exactly when sources is 0 or n
-// (same RNG variate sequence), restrict origination to the first ids
+// must draw the same RNG variate sequence at sources = 0 (every node
+// originates) and sources = n, restrict origination to the first ids
 // otherwise, and reject counts outside [0, n]. Source restriction is the
 // knob that decouples traffic volume from field size at 10⁵ nodes.
 
@@ -27,10 +27,6 @@ func sameEvents(t *testing.T, a, b *Generator, label string) {
 }
 
 func TestAllToAllSourcesZeroAndFullMatchUnrestricted(t *testing.T) {
-	base, err := AllToAll(20, 5, time.Millisecond, sim.NewRNG(9))
-	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
-	}
 	zero, err := AllToAllSources(20, 0, 5, time.Millisecond, sim.NewRNG(9))
 	if err != nil {
 		t.Fatalf("AllToAllSources(0): %v", err)
@@ -39,8 +35,10 @@ func TestAllToAllSourcesZeroAndFullMatchUnrestricted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AllToAllSources(n): %v", err)
 	}
-	sameEvents(t, base, zero, "sources=0")
-	sameEvents(t, base, full, "sources=n")
+	if zero.Items() != 20*5 {
+		t.Fatalf("sources=0: %d items, want every node's %d", zero.Items(), 20*5)
+	}
+	sameEvents(t, zero, full, "sources=0 vs sources=n")
 }
 
 func TestAllToAllSourcesRestrictsOrigins(t *testing.T) {
@@ -61,15 +59,18 @@ func TestAllToAllSourcesRestrictsOrigins(t *testing.T) {
 
 func TestClusteredSourcesZeroMatchesUnrestricted(t *testing.T) {
 	f := clusteredField(t, 169, 20)
-	base, err := Clustered(f, 3, time.Millisecond, 0.05, sim.NewRNG(11))
-	if err != nil {
-		t.Fatalf("Clustered: %v", err)
-	}
 	zero, err := ClusteredSources(f, 0, 3, time.Millisecond, 0.05, sim.NewRNG(11))
 	if err != nil {
 		t.Fatalf("ClusteredSources(0): %v", err)
 	}
-	sameEvents(t, base, zero, "clustered sources=0")
+	full, err := ClusteredSources(f, f.N(), 3, time.Millisecond, 0.05, sim.NewRNG(11))
+	if err != nil {
+		t.Fatalf("ClusteredSources(n): %v", err)
+	}
+	if zero.Items() != f.N()*3 {
+		t.Fatalf("sources=0: %d items, want every node's %d", zero.Items(), f.N()*3)
+	}
+	sameEvents(t, zero, full, "clustered sources=0 vs sources=n")
 }
 
 func TestClusteredSourcesRestrictsOrigins(t *testing.T) {

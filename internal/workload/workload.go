@@ -60,18 +60,13 @@ type Generator struct {
 	skipped int
 }
 
-// AllToAll builds the §5.1 workload for n nodes: packetsPerNode items per
-// node, per-node Poisson arrivals with the given mean inter-arrival time.
-func AllToAll(n, packetsPerNode int, meanArrival time.Duration, rng *sim.RNG) (*Generator, error) {
-	return AllToAllSources(n, 0, packetsPerNode, meanArrival, rng)
-}
-
-// AllToAllSources is AllToAll with origination restricted to the first
-// sources nodes (ids 0..sources-1); every node remains interested in every
-// item. sources == 0 means all nodes originate — the paper's workload — and
-// draws the exact variate sequence AllToAll always has. Limiting sources
-// decouples traffic volume from field size, which is what makes 10⁵-node
-// fields simulable: items scale with sources, not with N.
+// AllToAllSources builds the §5.1 workload for n nodes: each of the first
+// sources nodes (ids 0..sources-1) originates packetsPerNode items with
+// per-node Poisson arrivals at the given mean inter-arrival time, and every
+// node is interested in every item. sources == 0 means all n nodes
+// originate, which is the paper's workload. Limiting sources decouples
+// traffic volume from field size, which is what makes 10⁵-node fields
+// simulable: items scale with sources, not with N.
 func AllToAllSources(n, sources, packetsPerNode int, meanArrival time.Duration, rng *sim.RNG) (*Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: non-positive node count %d", n)
@@ -116,18 +111,12 @@ func checkSources(sources, n int) (int, error) {
 	return sources, nil
 }
 
-// Clustered builds the §5.2 workload over a concrete field: one cluster
-// head per cell of side equal to the zone radius; for every data item the
-// interested set is the origin's cluster head plus each zone neighbor of
-// the origin independently with probability prob.
-func Clustered(f *topo.Field, packetsPerNode int, meanArrival time.Duration, prob float64, rng *sim.RNG) (*Generator, error) {
-	return ClusteredSources(f, 0, packetsPerNode, meanArrival, prob, rng)
-}
-
-// ClusteredSources is Clustered with origination restricted to the first
-// sources nodes (ids 0..sources-1); interest sets are drawn exactly as in
-// Clustered for the items that exist. sources == 0 means all nodes
-// originate, reproducing Clustered's historical variate sequence.
+// ClusteredSources builds the §5.2 workload over a concrete field: one
+// cluster head per cell of side equal to the zone radius; for every data
+// item the interested set is the origin's cluster head plus each zone
+// neighbor of the origin independently with probability prob. Only the
+// first sources nodes (ids 0..sources-1) originate items; sources == 0
+// means every node does, which is the paper's workload.
 func ClusteredSources(f *topo.Field, sources, packetsPerNode int, meanArrival time.Duration, prob float64, rng *sim.RNG) (*Generator, error) {
 	if f == nil {
 		return nil, fmt.Errorf("workload: nil field")

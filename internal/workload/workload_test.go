@@ -15,24 +15,24 @@ import (
 
 func TestAllToAllValidation(t *testing.T) {
 	rng := sim.NewRNG(1)
-	if _, err := AllToAll(0, 10, time.Millisecond, rng); err == nil {
+	if _, err := AllToAllSources(0, 0, 10, time.Millisecond, rng); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := AllToAll(5, 0, time.Millisecond, rng); err == nil {
+	if _, err := AllToAllSources(5, 0, 0, time.Millisecond, rng); err == nil {
 		t.Fatal("packets=0 accepted")
 	}
-	if _, err := AllToAll(5, 10, 0, rng); err == nil {
+	if _, err := AllToAllSources(5, 0, 10, 0, rng); err == nil {
 		t.Fatal("zero arrival accepted")
 	}
-	if _, err := AllToAll(5, 10, time.Millisecond, nil); err == nil {
+	if _, err := AllToAllSources(5, 0, 10, time.Millisecond, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
 
 func TestAllToAllShape(t *testing.T) {
-	g, err := AllToAll(9, 10, time.Millisecond, sim.NewRNG(4))
+	g, err := AllToAllSources(9, 0, 10, time.Millisecond, sim.NewRNG(4))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	if g.Items() != 90 {
 		t.Fatalf("Items=%d, want 90", g.Items())
@@ -55,9 +55,9 @@ func TestAllToAllShape(t *testing.T) {
 }
 
 func TestAllToAllUniqueDataIDs(t *testing.T) {
-	g, err := AllToAll(7, 10, time.Millisecond, sim.NewRNG(5))
+	g, err := AllToAllSources(7, 0, 10, time.Millisecond, sim.NewRNG(5))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	seen := make(map[packet.DataID]bool)
 	for _, ev := range g.events {
@@ -69,9 +69,9 @@ func TestAllToAllUniqueDataIDs(t *testing.T) {
 }
 
 func TestAllToAllEventsSorted(t *testing.T) {
-	g, err := AllToAll(13, 10, time.Millisecond, sim.NewRNG(6))
+	g, err := AllToAllSources(13, 0, 10, time.Millisecond, sim.NewRNG(6))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	for i := 1; i < len(g.events); i++ {
 		if g.events[i].at < g.events[i-1].at {
@@ -85,9 +85,9 @@ func TestAllToAllPoissonMean(t *testing.T) {
 	var sum time.Duration
 	const trials = 200
 	for seed := int64(0); seed < trials; seed++ {
-		g, err := AllToAll(1, 10, time.Millisecond, sim.NewRNG(seed))
+		g, err := AllToAllSources(1, 0, 10, time.Millisecond, sim.NewRNG(seed))
 		if err != nil {
-			t.Fatalf("AllToAll: %v", err)
+			t.Fatalf("AllToAllSources: %v", err)
 		}
 		sum += g.Horizon()
 	}
@@ -98,13 +98,13 @@ func TestAllToAllPoissonMean(t *testing.T) {
 }
 
 func TestAllToAllDeterminism(t *testing.T) {
-	a, err := AllToAll(9, 10, time.Millisecond, sim.NewRNG(9))
+	a, err := AllToAllSources(9, 0, 10, time.Millisecond, sim.NewRNG(9))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
-	b, err := AllToAll(9, 10, time.Millisecond, sim.NewRNG(9))
+	b, err := AllToAllSources(9, 0, 10, time.Millisecond, sim.NewRNG(9))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	if len(a.events) != len(b.events) {
 		t.Fatal("event counts differ")
@@ -132,22 +132,22 @@ func clusteredField(t *testing.T, n int, radius float64) *topo.Field {
 func TestClusteredValidation(t *testing.T) {
 	f := clusteredField(t, 25, 15)
 	rng := sim.NewRNG(1)
-	if _, err := Clustered(nil, 10, time.Millisecond, 0.05, rng); err == nil {
+	if _, err := ClusteredSources(nil, 0, 10, time.Millisecond, 0.05, rng); err == nil {
 		t.Fatal("nil field accepted")
 	}
-	if _, err := Clustered(f, 0, time.Millisecond, 0.05, rng); err == nil {
+	if _, err := ClusteredSources(f, 0, 0, time.Millisecond, 0.05, rng); err == nil {
 		t.Fatal("packets=0 accepted")
 	}
-	if _, err := Clustered(f, 10, 0, 0.05, rng); err == nil {
+	if _, err := ClusteredSources(f, 0, 10, 0, 0.05, rng); err == nil {
 		t.Fatal("zero arrival accepted")
 	}
-	if _, err := Clustered(f, 10, time.Millisecond, -0.1, rng); err == nil {
+	if _, err := ClusteredSources(f, 0, 10, time.Millisecond, -0.1, rng); err == nil {
 		t.Fatal("negative prob accepted")
 	}
-	if _, err := Clustered(f, 10, time.Millisecond, 1.1, rng); err == nil {
+	if _, err := ClusteredSources(f, 0, 10, time.Millisecond, 1.1, rng); err == nil {
 		t.Fatal("prob>1 accepted")
 	}
-	if _, err := Clustered(f, 10, time.Millisecond, 0.05, nil); err == nil {
+	if _, err := ClusteredSources(f, 0, 10, time.Millisecond, 0.05, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -230,9 +230,9 @@ func TestClusterHeadsMatchesReference(t *testing.T) {
 
 func TestClusteredInterestSets(t *testing.T) {
 	f := clusteredField(t, 169, 20)
-	g, err := Clustered(f, 10, time.Millisecond, 0.05, sim.NewRNG(11))
+	g, err := ClusteredSources(f, 0, 10, time.Millisecond, 0.05, sim.NewRNG(11))
 	if err != nil {
-		t.Fatalf("Clustered: %v", err)
+		t.Fatalf("ClusteredSources: %v", err)
 	}
 	if g.Items() != 1690 {
 		t.Fatalf("Items=%d, want 1690", g.Items())
@@ -266,9 +266,9 @@ func TestClusteredInterestSets(t *testing.T) {
 
 func TestClusteredBystanderRate(t *testing.T) {
 	f := clusteredField(t, 169, 20)
-	g, err := Clustered(f, 10, time.Millisecond, 0.05, sim.NewRNG(13))
+	g, err := ClusteredSources(f, 0, 10, time.Millisecond, 0.05, sim.NewRNG(13))
 	if err != nil {
-		t.Fatalf("Clustered: %v", err)
+		t.Fatalf("ClusteredSources: %v", err)
 	}
 	heads := ClusterHeads(f)
 	bystanders, candidates := 0, 0
@@ -307,9 +307,9 @@ func (p *fakeProtocol) Originate(src packet.NodeID, d packet.DataID) error {
 }
 
 func TestScheduleDrivesProtocol(t *testing.T) {
-	g, err := AllToAll(3, 2, time.Millisecond, sim.NewRNG(21))
+	g, err := AllToAllSources(3, 0, 2, time.Millisecond, sim.NewRNG(21))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	sched := sim.NewScheduler()
 	p := &fakeProtocol{}
@@ -326,9 +326,9 @@ func TestScheduleDrivesProtocol(t *testing.T) {
 }
 
 func TestScheduleRetriesFailedOrigination(t *testing.T) {
-	g, err := AllToAll(1, 1, time.Millisecond, sim.NewRNG(22))
+	g, err := AllToAllSources(1, 0, 1, time.Millisecond, sim.NewRNG(22))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	sched := sim.NewScheduler()
 	p := &fakeProtocol{failFirst: 2}
@@ -345,9 +345,9 @@ func TestScheduleRetriesFailedOrigination(t *testing.T) {
 }
 
 func TestScheduleGivesUpAfterRetries(t *testing.T) {
-	g, err := AllToAll(1, 1, time.Millisecond, sim.NewRNG(23))
+	g, err := AllToAllSources(1, 0, 1, time.Millisecond, sim.NewRNG(23))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	sched := sim.NewScheduler()
 	p := &fakeProtocol{failFirst: 1000}
@@ -361,9 +361,9 @@ func TestScheduleGivesUpAfterRetries(t *testing.T) {
 }
 
 func TestScheduleNilPanics(t *testing.T) {
-	g, err := AllToAll(1, 1, time.Millisecond, sim.NewRNG(24))
+	g, err := AllToAllSources(1, 0, 1, time.Millisecond, sim.NewRNG(24))
 	if err != nil {
-		t.Fatalf("AllToAll: %v", err)
+		t.Fatalf("AllToAllSources: %v", err)
 	}
 	defer func() {
 		if recover() == nil {
