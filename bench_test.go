@@ -390,7 +390,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := sim.NewScheduler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.After(time.Microsecond, func() {})
+		s.AfterArg(time.Microsecond, func(uint64) {}, 0)
 		if i%1024 == 1023 {
 			if err := s.RunUntilIdle(0); err != nil {
 				b.Fatal(err)

@@ -42,6 +42,10 @@ type queryKey struct {
 
 // pendingQuery is the requester-side state of an inter-zone pull.
 type pendingQuery struct {
+	id       uint64        // index in System.queries: the retry timer's argument
+	node     packet.NodeID // the requesting node
+	d        packet.DataID // the item queried
+	it       int           // d's dense ledger index, -1 when never originated
 	seq      int
 	attempts int
 	timer    sim.Timer
@@ -77,13 +81,12 @@ func (s *System) Query(requester packet.NodeID, d packet.DataID) error {
 		if hops, ok := s.tables.Hops(requester, d.Origin); ok {
 			acq := n.wantFor(d, it)
 			if acq == nil {
-				acq = &acquisition{prone: d.Origin, scone: d.Origin}
-				n.setWant(d, it, acq)
+				acq = n.acquire(d, it, d.Origin)
 			}
 			if acq.tauDAT.Active() {
 				return nil // a request is already in flight
 			}
-			n.sendREQ(d, it, acq, d.Origin, hops == 1)
+			n.sendREQ(acq, d.Origin, hops == 1)
 			return nil
 		}
 	}
@@ -103,7 +106,8 @@ func (n *node) startQuery(d packet.DataID, it int) {
 	}
 	q := n.queries[d.Key()]
 	if q == nil {
-		q = &pendingQuery{}
+		q = &pendingQuery{id: uint64(len(n.sys.queries)), node: n.id, d: d, it: it}
+		n.sys.queries = append(n.sys.queries, q)
 		n.queries[d.Key()] = q
 	}
 	if q.attempts >= n.sys.cfg.MaxAttempts {
@@ -122,13 +126,19 @@ func (n *node) startQuery(d packet.DataID, it int) {
 	})
 	// Worst case: horizon zones out and back, each leg one border hop.
 	wait := n.sys.tauDAT(1) + 2*time.Duration(n.sys.cfg.QueryHorizon)*n.sys.hopRTT
-	q.timer = n.sys.nw.Scheduler().After(wait, func() {
-		if !n.sys.nw.Alive(n.id) || n.hasItem(it) {
-			return
-		}
-		n.sys.nw.Counters().Timeouts++
-		n.startQuery(d, it)
-	})
+	q.timer = n.sys.nw.Scheduler().AfterArg(wait, n.sys.queryFn, q.id)
+}
+
+// onQueryTimeout handles the expiry of query arg's retry timer: re-issue
+// the bordercast while the requester is up and still lacks the data.
+func (s *System) onQueryTimeout(arg uint64) {
+	q := s.queries[arg]
+	n := &s.nodes[q.node]
+	if !s.nw.Alive(n.id) || n.hasItem(q.it) {
+		return
+	}
+	s.nw.Counters().Timeouts++
+	n.startQuery(q.d, q.it)
 }
 
 // onQRY runs at a node receiving an inter-zone query: answer from the local

@@ -198,7 +198,7 @@ func TestQueryRetriesAfterTrailFailure(t *testing.T) {
 	run(t, fx, 200*time.Millisecond)
 	// A transient failure window on node 6 (mid-strip).
 	fx.nw.Fail(6)
-	fx.sched.After(300*time.Millisecond, func() { fx.nw.Recover(6) })
+	fx.sched.AfterArg(300*time.Millisecond, func(uint64) { fx.nw.Recover(6) }, 0)
 	if err := fx.sys.Query(far, d); err != nil {
 		t.Fatalf("Query: %v", err)
 	}

@@ -132,7 +132,26 @@ type System struct {
 
 	// Derived expected per-hop REQ+DATA round trip for AutoTimeouts.
 	hopRTT time.Duration
+
+	// Acquisitions are carved from fixed-size slab chunks and recycled
+	// through acqFree once satisfied, so the live set — not every (node,
+	// item) pair a run ever negotiates — bounds their memory, and opening
+	// one allocates nothing in steady state. An acquisition's slab index
+	// is its timers' event argument.
+	acqChunks []*[acqChunk]acquisition
+	acqFree   []uint64
+	acqCarved uint64
+
+	// queries holds every pending inter-zone query ever opened, indexed by
+	// the query timer's event argument.
+	queries []*pendingQuery
+
+	// The timer handlers, bound once so arming a timer allocates nothing.
+	tauADVFn, tauDATFn, queryFn sim.ArgHandler
 }
+
+// acqChunk is the number of acquisitions in one slab chunk.
+const acqChunk = 256
 
 var _ dissem.Protocol = (*System)(nil)
 
@@ -157,6 +176,9 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 		cfg.BorderFanout = DefaultBorderFanout
 	}
 	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables}
+	s.tauADVFn = s.onTauADV
+	s.tauDATFn = s.onTauDAT
+	s.queryFn = s.onQueryTimeout
 	s.deriveTimeouts()
 	nw.SetProcessingDelay(cfg.Proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
@@ -271,6 +293,11 @@ func (s *System) Prone(id packet.NodeID, d packet.DataID) (prone, scone packet.N
 
 // acquisition is a destination's per-data-item negotiation state (§3.4).
 type acquisition struct {
+	id   uint64        // slab index: the event argument of its timers
+	node packet.NodeID // the acquiring node
+	d    packet.DataID // the item being acquired
+	it   int           // d's dense ledger index, -1 when never originated
+
 	prone packet.NodeID // primary originator node
 	scone packet.NodeID // secondary originator node
 
@@ -351,29 +378,59 @@ func (n *node) setHas(it int) {
 	n.has[it] = true
 }
 
-// setWant stores acquisition state for d (dense index it); unregistered
-// items go to the overflow map.
-func (n *node) setWant(d packet.DataID, it int, acq *acquisition) {
+// acquire opens acquisition state for d (dense index it), with provider
+// as both PRONE and SCONE; unregistered items go to the overflow map.
+func (n *node) acquire(d packet.DataID, it int, provider packet.NodeID) *acquisition {
+	acq := n.sys.newAcquisition()
+	acq.node, acq.d, acq.it = n.id, d, it
+	acq.prone, acq.scone = provider, provider
 	if it >= 0 {
 		n.grow(it)
 		n.want[it] = acq
-		return
+		return acq
 	}
 	if n.wantOverflow == nil {
 		n.wantOverflow = make(map[uint64]*acquisition)
 	}
 	n.wantOverflow[d.Key()] = acq
+	return acq
 }
 
-// clearWant drops the acquisition state for d (dense index it).
-func (n *node) clearWant(d packet.DataID, it int) {
-	if it >= 0 {
-		if it < len(n.want) {
-			n.want[it] = nil
-		}
-		return
+// finish closes a satisfied acquisition: its timers are cancelled, the
+// node forgets it and its slab slot is freed for reuse.
+func (n *node) finish(acq *acquisition) {
+	acq.tauADV.Cancel()
+	acq.tauDAT.Cancel()
+	if acq.it >= 0 {
+		n.want[acq.it] = nil
+	} else {
+		delete(n.wantOverflow, acq.d.Key())
 	}
-	delete(n.wantOverflow, d.Key())
+	n.sys.acqFree = append(n.sys.acqFree, acq.id)
+}
+
+// newAcquisition returns zeroed acquisition state from the slab, reusing
+// a freed slot when there is one.
+func (s *System) newAcquisition() *acquisition {
+	var id uint64
+	if k := len(s.acqFree); k > 0 {
+		id = s.acqFree[k-1]
+		s.acqFree = s.acqFree[:k-1]
+	} else {
+		id = s.acqCarved
+		s.acqCarved++
+		if id%acqChunk == 0 {
+			s.acqChunks = append(s.acqChunks, new([acqChunk]acquisition))
+		}
+	}
+	acq := s.acqAt(id)
+	*acq = acquisition{id: id}
+	return acq
+}
+
+// acqAt returns the acquisition in slab slot id.
+func (s *System) acqAt(id uint64) *acquisition {
+	return &s.acqChunks[id/acqChunk][id%acqChunk]
 }
 
 // HandlePacket runs the protocol reaction to p. The Tproc processing delay
@@ -431,8 +488,7 @@ func (n *node) onADV(p packet.Packet, it int) {
 	if acq == nil {
 		// First ADV for this item: PRONE and SCONE both start as the
 		// advertiser (the data source, at protocol start).
-		acq = &acquisition{prone: p.Src, scone: p.Src}
-		n.setWant(d, it, acq)
+		acq = n.acquire(d, it, p.Src)
 		promoted = true
 	} else {
 		if acq.abandoned {
@@ -458,43 +514,48 @@ func (n *node) onADV(p packet.Packet, it int) {
 		// PRONE unreachable by routing (e.g. source in another zone whose
 		// ADV still arrived radio-wise). Wait for a closer advertiser.
 		if promoted || !acq.tauADV.Active() {
-			n.armTauADV(d, it, acq)
+			n.armTauADV(acq)
 		}
 		return
 	}
 	if hops == 1 {
 		// Next-hop neighbor: request immediately, directly.
 		acq.tauADV.Cancel()
-		n.sendREQ(d, it, acq, acq.prone, true)
+		n.sendREQ(acq, acq.prone, true)
 		return
 	}
 	// Multi-hop would be needed: wait τADV for a relay's advertisement.
 	// Re-arming on a PRONE promotion matches §3.5 ("C ... resets its timer
 	// τADV"); unrelated repeat ADVs must not postpone the timer forever.
 	if promoted || !acq.tauADV.Active() {
-		n.armTauADV(d, it, acq)
+		n.armTauADV(acq)
 	}
 }
 
 // armTauADV (re)starts the advertisement-wait timer. Re-arming on each ADV
 // matches §3.5: "C on receiving the ADV packet from r1 resets its timer
 // τADV".
-func (n *node) armTauADV(d packet.DataID, it int, acq *acquisition) {
+func (n *node) armTauADV(acq *acquisition) {
 	acq.tauADV.Cancel()
-	acq.tauADV = n.sys.nw.Scheduler().After(n.sys.tauADV(), func() {
-		if !n.sys.nw.Alive(n.id) || n.hasItem(it) {
-			return
-		}
-		n.sys.nw.Counters().Timeouts++
-		// τADV expired: request from the PRONE through the shortest path.
-		n.sendREQ(d, it, acq, acq.prone, false)
-	})
+	acq.tauADV = n.sys.nw.Scheduler().AfterArg(n.sys.tauADV(), n.sys.tauADVFn, acq.id)
+}
+
+// onTauADV handles the expiry of the τADV timer of acquisition arg:
+// request from the PRONE through the shortest path.
+func (s *System) onTauADV(arg uint64) {
+	acq := s.acqAt(arg)
+	n := &s.nodes[acq.node]
+	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+		return
+	}
+	s.nw.Counters().Timeouts++
+	n.sendREQ(acq, acq.prone, false)
 }
 
 // sendREQ transmits a request to target, directly (single transmission at
 // the level that spans the distance) or along the multi-hop shortest path,
 // and arms τDAT.
-func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.NodeID, direct bool) {
+func (n *node) sendREQ(acq *acquisition, target packet.NodeID, direct bool) {
 	if acq.attempts >= n.sys.cfg.MaxAttempts {
 		acq.abandoned = true
 		acq.tauADV.Cancel()
@@ -505,6 +566,7 @@ func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.
 	acq.lastDirect = direct
 	acq.lastTarget = target
 
+	d := acq.d
 	sz := n.sys.nw.Sizes()
 	hops := 1
 	if direct {
@@ -512,7 +574,7 @@ func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.
 		if !ok {
 			// Not actually reachable in one transmission (mobility can do
 			// this); fall back to multi-hop.
-			n.sendREQViaRoute(d, it, acq, target)
+			n.sendREQViaRoute(acq, target)
 			return
 		}
 		n.sys.nw.Send(packet.Packet{
@@ -550,19 +612,19 @@ func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.
 			hops = h
 		}
 	}
-	n.armTauDAT(d, it, acq, hops)
+	n.armTauDAT(acq, hops)
 }
 
 // sendREQViaRoute is sendREQ's multi-hop fallback used when a "direct"
 // attempt turns out to be unreachable.
-func (n *node) sendREQViaRoute(d packet.DataID, it int, acq *acquisition, target packet.NodeID) {
+func (n *node) sendREQViaRoute(acq *acquisition, target packet.NodeID) {
 	acq.lastDirect = false
-	if !n.sendREQViaRouteOnce(d, target) {
+	if !n.sendREQViaRouteOnce(acq.d, target) {
 		acq.abandoned = true
 		return
 	}
 	hops, _ := n.sys.tables.Hops(n.id, target)
-	n.armTauDAT(d, it, acq, hops)
+	n.armTauDAT(acq, hops)
 }
 
 // sendREQViaRouteOnce emits one REQ toward target via the primary next hop.
@@ -591,15 +653,21 @@ func (n *node) sendREQViaRouteOnce(d packet.DataID, target packet.NodeID) bool {
 
 // armTauDAT starts the data-wait timer for a request that travels the given
 // number of hops.
-func (n *node) armTauDAT(d packet.DataID, it int, acq *acquisition, hops int) {
+func (n *node) armTauDAT(acq *acquisition, hops int) {
 	acq.tauDAT.Cancel()
-	acq.tauDAT = n.sys.nw.Scheduler().After(n.sys.tauDAT(hops), func() {
-		if !n.sys.nw.Alive(n.id) || n.hasItem(it) {
-			return
-		}
-		n.sys.nw.Counters().Timeouts++
-		n.failover(d, it, acq)
-	})
+	acq.tauDAT = n.sys.nw.Scheduler().AfterArg(n.sys.tauDAT(hops), n.sys.tauDATFn, acq.id)
+}
+
+// onTauDAT handles the expiry of the τDAT timer of acquisition arg: the
+// request was lost, so fail over.
+func (s *System) onTauDAT(arg uint64) {
+	acq := s.acqAt(arg)
+	n := &s.nodes[acq.node]
+	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+		return
+	}
+	s.nw.Counters().Timeouts++
+	n.failover(acq)
 }
 
 // failover implements §3.4's recovery ladder after a τDAT expiry:
@@ -616,16 +684,16 @@ func (n *node) armTauDAT(d packet.DataID, it int, acq *acquisition, hops int) {
 //  3. If the direct SCONE request was lost too, the node is out of known
 //     providers; the acquisition is abandoned until a fresh advertisement
 //     revives it.
-func (n *node) failover(d packet.DataID, it int, acq *acquisition) {
+func (n *node) failover(acq *acquisition) {
 	n.sys.nw.Counters().Failovers++
 	switch {
 	case !acq.lastDirect:
 		// Multi-hop attempt failed: go direct to the current PRONE at
 		// whatever power reaches it.
-		n.sendREQ(d, it, acq, acq.prone, true)
+		n.sendREQ(acq, acq.prone, true)
 	case acq.lastTarget != acq.scone:
 		// Direct attempt on the PRONE failed: the PRONE is down.
-		n.sendREQ(d, it, acq, acq.scone, true)
+		n.sendREQ(acq, acq.scone, true)
 	default:
 		acq.abandoned = true
 	}
@@ -731,9 +799,7 @@ func (n *node) onDATA(p packet.Packet, it int) {
 	}
 	// Whatever role this node played, its own acquisition is now satisfied.
 	if acq := n.wantFor(d, it); acq != nil {
-		acq.tauADV.Cancel()
-		acq.tauDAT.Cancel()
-		n.clearWant(d, it)
+		n.finish(acq)
 	}
 	if q := n.queries[d.Key()]; q != nil {
 		q.timer.Cancel()

@@ -347,17 +347,17 @@ func TestProneSconePromotion(t *testing.T) {
 	// still waiting for its data: B's ADV goes out after it gets the data.
 	// Poll PRONE state as the run progresses.
 	var sawPromotion bool
-	var check func()
-	check = func() {
+	var check sim.ArgHandler
+	check = func(uint64) {
 		prone, scone, ok := fx.sys.Prone(2, d)
 		if ok && prone == 1 && scone == 0 {
 			sawPromotion = true
 		}
 		if !fx.sys.Has(2, d) {
-			fx.sched.After(100*time.Microsecond, check)
+			fx.sched.AfterArg(100*time.Microsecond, check, 0)
 		}
 	}
-	fx.sched.After(100*time.Microsecond, check)
+	fx.sched.AfterArg(100*time.Microsecond, check, 0)
 	run(t, fx, time.Second)
 	if !sawPromotion {
 		t.Fatal("C never promoted B to PRONE with A as SCONE")
@@ -541,10 +541,10 @@ func TestMaxAttemptsBoundsRequests(t *testing.T) {
 		t.Fatalf("Originate: %v", err)
 	}
 	// Fail A and B right after the initial ADV leaves A.
-	fx.sched.After(50*time.Millisecond, func() {
+	fx.sched.AfterArg(50*time.Millisecond, func(uint64) {
 		fx.nw.Fail(0)
 		fx.nw.Fail(1)
-	})
+	}, 0)
 	run(t, fx, 10*time.Second)
 	reqs := 0
 	for _, ev := range fx.events {

@@ -28,9 +28,8 @@ func TestSendREQDirectFallsBackToRoute(t *testing.T) {
 	run(t, fx, 100*time.Millisecond)
 
 	n := &fx.sys.nodes[11]
-	acq := &acquisition{prone: 0, scone: 0}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, true) // direct to an unreachable target
+	acq := n.acquire(d, n.item(d), 0)
+	n.sendREQ(acq, 0, true) // direct to an unreachable target
 	run(t, fx, 5*time.Second)
 
 	if !fx.sys.Has(11, d) {
@@ -58,9 +57,8 @@ func TestSendREQAbandonsWithoutAnyPath(t *testing.T) {
 		t.Fatalf("Originate: %v", err)
 	}
 	n := &fx.sys.nodes[1]
-	acq := &acquisition{prone: 0, scone: 0}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, false) // multi-hop with no route at all
+	acq := n.acquire(d, n.item(d), 0)
+	n.sendREQ(acq, 0, false) // multi-hop with no route at all
 	run(t, fx, time.Second)
 	if !acq.abandoned {
 		t.Fatal("unroutable request not abandoned")
@@ -76,9 +74,9 @@ func TestSendREQRespectsAttemptBudget(t *testing.T) {
 	fx := chainFixture(t, 3, dissem.Everyone, 23)
 	d := packet.DataID{Origin: 0, Seq: 0}
 	n := &fx.sys.nodes[2]
-	acq := &acquisition{prone: 0, scone: 0, attempts: fx.sys.cfg.MaxAttempts}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, true)
+	acq := n.acquire(d, n.item(d), 0)
+	acq.attempts = fx.sys.cfg.MaxAttempts
+	n.sendREQ(acq, 0, true)
 	run(t, fx, 100*time.Millisecond)
 	if got := fx.nw.Counters().Sent[packet.REQ]; got != 0 {
 		t.Fatalf("REQ sent despite exhausted budget (%d)", got)

@@ -650,8 +650,8 @@ func scheduleMobility(res *Result, sc Scenario, sched *sim.Scheduler, field *top
 		}
 		step = func() { wp.Advance(sc.MobilityPeriod) }
 	}
-	var tick func()
-	tick = func() {
+	var tick sim.ArgHandler
+	tick = func(uint64) {
 		if sched.Now() >= horizon {
 			return
 		}
@@ -664,9 +664,9 @@ func scheduleMobility(res *Result, sc Scenario, sched *sim.Scheduler, field *top
 			spms.SetTables(fresh)
 			routing.ChargeConvergenceEnergy(fresh, field, nw.Sizes(), nw.Energy())
 		}
-		sched.After(sc.MobilityPeriod, tick)
+		sched.AfterArg(sc.MobilityPeriod, tick, 0)
 	}
-	sched.After(sc.MobilityPeriod, tick)
+	sched.AfterArg(sc.MobilityPeriod, tick, 0)
 	return nil
 }
 

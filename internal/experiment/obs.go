@@ -59,8 +59,8 @@ func installTrace(nw *network.Network, sched *sim.Scheduler, sink *obs.TraceSink
 // the simulated trajectory is untouched.
 func scheduleTimeline(sched *sim.Scheduler, nw *network.Network, tl *obs.Timeline, horizon time.Duration) {
 	interval := tl.Interval()
-	var tick func()
-	tick = func() {
+	var tick sim.ArgHandler
+	tick = func(uint64) {
 		c := nw.Counters()
 		b := nw.Energy().TotalBreakdown()
 		tl.Offer(obs.TimelineSample{
@@ -74,8 +74,8 @@ func scheduleTimeline(sched *sim.Scheduler, nw *network.Network, tl *obs.Timelin
 			CtrlEnergy:  float64(b.Ctrl),
 		})
 		if sched.Now()+interval <= horizon {
-			sched.After(interval, tick)
+			sched.AfterArg(interval, tick, 0)
 		}
 	}
-	sched.After(interval, tick)
+	sched.AfterArg(interval, tick, 0)
 }

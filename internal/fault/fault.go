@@ -204,6 +204,10 @@ type Injector struct {
 	// ids failed by it (ascending). A diagnostics/test hook; production
 	// scenarios leave it nil.
 	OnBurst func(epicenter geom.Point, failed []packet.NodeID)
+
+	// The event handlers, bound once so scheduling allocates nothing. The
+	// node events carry the node id as their argument.
+	failFn, repairFn, recoverFn, burstFn sim.ArgHandler
 }
 
 // NewInjector builds an injector. All dependencies are required; a Burst
@@ -216,13 +220,18 @@ func NewInjector(cfg Config, sched *sim.Scheduler, rng *sim.RNG, target Target) 
 		return nil, fmt.Errorf("fault: nil dependency (sched=%v rng=%v target=%v)",
 			sched != nil, rng != nil, target != nil)
 	}
-	return &Injector{
+	in := &Injector{
 		cfg:       cfg,
 		sched:     sched,
 		rng:       rng,
 		target:    target,
 		protected: make(map[packet.NodeID]bool),
-	}, nil
+	}
+	in.failFn = in.failNode
+	in.repairFn = in.repairNode
+	in.recoverFn = in.recoverNode
+	in.burstFn = in.fireBurst
+	return in, nil
 }
 
 // SetLocator attaches the position source the Burst model requires. Must
@@ -277,12 +286,13 @@ func (in *Injector) Start() error {
 // up-time.
 func (in *Injector) scheduleNodeFailure(id packet.NodeID) {
 	gap := in.rng.ExpDuration(in.cfg.MeanInterArrival)
-	in.sched.After(gap, func() { in.failNode(id) })
+	in.sched.AfterArg(gap, in.failFn, uint64(id))
 }
 
-// failNode takes the node down per the model: Transient schedules the
+// failNode takes node arg down per the model: Transient schedules the
 // recovery that re-arms the next failure; Crash fails permanently.
-func (in *Injector) failNode(id packet.NodeID) {
+func (in *Injector) failNode(arg uint64) {
+	id := packet.NodeID(arg)
 	if !in.target.Alive(id) {
 		if in.cfg.Model == Crash {
 			// Someone else already killed it; crash-stop has nothing to add.
@@ -302,25 +312,33 @@ func (in *Injector) failNode(id packet.NodeID) {
 	in.target.Fail(id)
 	in.stats.Injected++
 	in.stats.TotalDowntime += repair
-	in.sched.After(repair, func() {
-		in.target.Recover(id)
-		in.stats.Repairs++
-		in.scheduleNodeFailure(id)
-	})
+	in.sched.AfterArg(repair, in.repairFn, arg)
+}
+
+// repairNode ends a Transient failure of node arg and arms its next one.
+func (in *Injector) repairNode(arg uint64) {
+	in.recoverNode(arg)
+	in.scheduleNodeFailure(packet.NodeID(arg))
+}
+
+// recoverNode brings node arg back up.
+func (in *Injector) recoverNode(arg uint64) {
+	in.target.Recover(packet.NodeID(arg))
+	in.stats.Repairs++
 }
 
 // scheduleBurst arms the next burst event after an exponential gap on the
 // single global burst clock.
 func (in *Injector) scheduleBurst() {
 	gap := in.rng.ExpDuration(in.cfg.MeanInterArrival)
-	in.sched.After(gap, in.fireBurst)
+	in.sched.AfterArg(gap, in.burstFn, 0)
 }
 
 // fireBurst picks a uniform random epicenter and fails every alive,
 // unprotected node within BurstRadius of it. Each victim repairs after its
 // own uniform repair time (drawn in ascending id order, so a seed fully
 // determines the event).
-func (in *Injector) fireBurst() {
+func (in *Injector) fireBurst(uint64) {
 	epi := in.loc.Bounds().UniformPoint(in.rng.Float64)
 	r2 := in.cfg.BurstRadius * in.cfg.BurstRadius
 	var failed []packet.NodeID
@@ -336,10 +354,7 @@ func (in *Injector) fireBurst() {
 		in.target.Fail(id)
 		in.stats.Injected++
 		in.stats.TotalDowntime += repair
-		in.sched.After(repair, func() {
-			in.target.Recover(id)
-			in.stats.Repairs++
-		})
+		in.sched.AfterArg(repair, in.recoverFn, uint64(id))
 		failed = append(failed, id)
 	}
 	in.stats.Bursts++

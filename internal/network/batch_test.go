@@ -1,11 +1,12 @@
 package network
 
 // Tests for batched delivery: the network replaces the old per-receiver
-// After(Proc) closures with one arg-event per transmission, and
-// these pin the semantics that replacement must preserve — handler timing at
-// completion+proc, receiver order, the silent skip of receivers that die
-// between delivery and processing — plus the allocation-free steady state
-// that motivates the mechanism.
+// After(Proc) closures with one arg-event per transmission whose receivers
+// wait in one FIFO, and these pin the semantics that replacement must
+// preserve — handler timing at completion+proc, receiver order, batch
+// order across flights completing at one instant, the silent skip of
+// receivers that die between delivery and processing — plus the
+// allocation-free steady state that motivates the mechanism.
 
 import (
 	"testing"
@@ -90,7 +91,7 @@ func TestDeferredSkipsReceiverDeadBeforeProcessing(t *testing.T) {
 	fx, recs, _ := deferredFixture(t, proc)
 	// The transmission completes within milliseconds; 1s is safely inside
 	// the (completion, completion+proc) window.
-	fx.sched.At(time.Second, func() { fx.nw.Fail(2) })
+	fx.sched.AtArg(time.Second, func(uint64) { fx.nw.Fail(2) }, 0)
 	fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: 1, Dst: packet.Broadcast, Level: radio.MaxPower})
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
@@ -170,6 +171,93 @@ func TestDeferredReentrantSendGrowsArenaSafely(t *testing.T) {
 	}
 }
 
+// handling is one handler call: which node handled which packet, when.
+type handling struct {
+	node packet.NodeID
+	seq  int
+	at   time.Duration
+}
+
+// seqRecorder logs every handler call into a log shared by all receivers.
+type seqRecorder struct {
+	fx  *fixture
+	id  packet.NodeID
+	log *[]handling
+}
+
+func (r *seqRecorder) HandlePacket(p packet.Packet) {
+	*r.log = append(*r.log, handling{node: r.id, seq: p.Meta.Seq, at: r.fx.sched.Now()})
+}
+
+// TestSameInstantBatchesKeepCompletionOrder pins the receiver FIFO's order
+// contract: flights that complete at one instant dispatch their batches in
+// completion order, each to exactly the receivers it reached, at
+// completion+proc — including proc = 0, where the batches share the
+// completion instant with the completions themselves.
+func TestSameInstantBatchesKeepCompletionOrder(t *testing.T) {
+	for _, proc := range []time.Duration{0, time.Millisecond} {
+		fx := newFixture(t, noBackoff())
+		fx.nw.SetProcessingDelay(proc)
+		var log []handling
+		for i := 0; i < 3; i++ {
+			fx.nw.Bind(packet.NodeID(i), &seqRecorder{fx: fx, id: packet.NodeID(i), log: &log})
+		}
+		var completed []time.Duration
+		fx.nw.SetTrace(func(ev TraceEvent) {
+			if ev.Kind == TraceDeliver {
+				completed = append(completed, fx.sched.Now())
+			}
+		})
+		// One sender, one kind, one level: equal access delay and airtime,
+		// so all four complete at the same instant, in Send order. The
+		// receiver sets differ, so a batch handed another flight's run
+		// would show up as a wrong (node, seq) pair.
+		lvl := radio.MaxPower
+		fx.nw.Send(packet.Packet{Kind: packet.ADV, Meta: packet.DataID{Seq: 0}, Src: 1, Dst: 0, Level: lvl})
+		fx.nw.Send(packet.Packet{Kind: packet.ADV, Meta: packet.DataID{Seq: 1}, Src: 1, Dst: packet.Broadcast, Level: lvl})
+		fx.nw.Send(packet.Packet{Kind: packet.ADV, Meta: packet.DataID{Seq: 2}, Src: 1, Dst: 2, Level: lvl})
+		fx.nw.Send(packet.Packet{Kind: packet.ADV, Meta: packet.DataID{Seq: 3}, Src: 1, Dst: packet.Broadcast, Level: lvl})
+		if err := fx.sched.RunUntilIdle(0); err != nil {
+			t.Fatalf("proc=%v: RunUntilIdle: %v", proc, err)
+		}
+		if len(completed) != 6 {
+			t.Fatalf("proc=%v: %d deliveries traced, want 6", proc, len(completed))
+		}
+		for _, c := range completed[1:] {
+			if c != completed[0] {
+				t.Fatalf("proc=%v: deliveries at %v, want one instant", proc, completed)
+			}
+		}
+		want := []handling{{0, 0, 0}, {0, 1, 0}, {2, 1, 0}, {2, 2, 0}, {0, 3, 0}, {2, 3, 0}}
+		if len(log) != len(want) {
+			t.Fatalf("proc=%v: handled %v, want %v", proc, log, want)
+		}
+		for i, w := range want {
+			w.at = completed[0] + proc
+			if log[i] != w {
+				t.Fatalf("proc=%v: handled %v, want (node, seq) %v at completion+proc %v",
+					proc, log, want, w.at)
+			}
+		}
+	}
+}
+
+// TestSetProcessingDelayAfterSendPanics checks that proc is frozen once
+// traffic has started: a changed proc could make a later batch fire before
+// an earlier one, breaking the receiver FIFO's order.
+func TestSetProcessingDelayAfterSendPanics(t *testing.T) {
+	fx := newFixture(t, noBackoff())
+	fx.nw.SetProcessingDelay(time.Millisecond)
+	fx.nw.SetProcessingDelay(2 * time.Millisecond) // before traffic: allowed
+	fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: 1, Dst: packet.Broadcast, Level: radio.MaxPower})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetProcessingDelay after the first Send did not panic")
+		}
+	}()
+	fx.nw.SetProcessingDelay(time.Millisecond)
+}
+
 // countingRecorder handles packets without retaining them, so the steady
 // state allocates nothing on the receiver side either.
 type countingRecorder struct{ n int }
@@ -178,7 +266,7 @@ func (r *countingRecorder) HandlePacket(packet.Packet) { r.n++ }
 
 // TestBatchedDispatchAllocFree is the 0-alloc guard on the batched dispatch
 // path (run in CI): after warmup, a full Send → complete → batched-handler
-// cycle must not allocate — flight slots, destination lists, and scheduler
+// cycle must not allocate — flight slots, the receiver FIFO, and scheduler
 // events are all pooled, and the pre-bound method values avoid the
 // per-packet closures this design replaced.
 func TestBatchedDispatchAllocFree(t *testing.T) {
@@ -199,7 +287,7 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	cycle() // warm the arena, dsts capacity, and event pool
+	cycle() // warm the flight arena, receiver FIFO, and event pool
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state batched dispatch allocated %.1f times per cycle, want 0", allocs)
 	}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -96,17 +97,6 @@ func DefaultConfig() Config {
 	return Config{Sizes: packet.DefaultSizes(), MAC: mac.AnalyticConfig()}
 }
 
-// flight is one in-flight transmission in the pooled arena: the packet on
-// the air and the receivers it reached alive at delivery time (the batch
-// the T+proc dispatch walks). Slots are recycled through a free list, so
-// the steady-state transmission cycle — Send → complete → batch-dispatch —
-// allocates nothing once the arena and each slot's dsts buffer have grown
-// to the working set.
-type flight struct {
-	p    packet.Packet
-	dsts []packet.NodeID
-}
-
 // Network is the radio medium plus node liveness. It implements
 // fault.Target so the injector can drive it.
 type Network struct {
@@ -124,12 +114,25 @@ type Network struct {
 	busyUntil    []time.Duration
 	carrierSense bool
 
-	// In-flight transmission arena plus the pre-bound event handlers
-	// (method values created once so AtArg scheduling never allocates).
-	flights     []flight
+	// flights is the in-flight transmission arena: the packet on the air
+	// from Send until its batch has been handled. Events carry a slot's
+	// index; slots are recycled through freeFlights, so the steady-state
+	// cycle Send → complete → batch-dispatch allocates nothing once the
+	// arena has grown to the working set. completeFn and deliverFn are the
+	// pre-bound event handlers (method values created once so AtArg
+	// scheduling never allocates).
+	flights     []packet.Packet
 	freeFlights []uint64
 	completeFn  sim.ArgHandler
 	deliverFn   sim.ArgHandler
+
+	// rxq is the receiver FIFO shared by every transmission: onComplete
+	// appends the receivers it reached alive, then packet.None, and each
+	// delivery batch consumes one such run from rxHead. Batch events fire
+	// in the order they were scheduled (see SetProcessingDelay), so the
+	// runs are consumed in the order they were appended.
+	rxq    []packet.NodeID
+	rxHead int
 
 	// proc is the receivers' processing delay (SetProcessingDelay): the
 	// gap between a transmission's completion and its batched handler
@@ -190,10 +193,18 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 // with consecutive sequence numbers, so nothing could interleave between
 // them anyway.
 //
+// proc is fixed before traffic starts: it panics once a transmission has
+// been scheduled. Completions fire in time order and each schedules its
+// batch at completion+proc, so with one proc the batch events fire in the
+// order they were scheduled — the order the receiver FIFO relies on.
+//
 // Protocol constructors call this with their processing delay.
 func (nw *Network) SetProcessingDelay(proc time.Duration) {
 	if proc < 0 {
 		panic(fmt.Sprintf("network: negative processing delay %v", proc))
+	}
+	if len(nw.flights) > 0 {
+		panic("network: SetProcessingDelay after the first transmission")
 	}
 	nw.proc = proc
 }
@@ -201,26 +212,20 @@ func (nw *Network) SetProcessingDelay(proc time.Duration) {
 // allocFlight takes a pooled arena slot for a departing packet. The returned
 // index — not a pointer — is what events carry: the arena's backing array
 // may move when it grows mid-handler.
-func (nw *Network) allocFlight(p packet.Packet) uint64 {
-	var idx uint64
+func (nw *Network) allocFlight(p *packet.Packet) uint64 {
 	if n := len(nw.freeFlights); n > 0 {
-		idx = nw.freeFlights[n-1]
+		idx := nw.freeFlights[n-1]
 		nw.freeFlights = nw.freeFlights[:n-1]
-	} else {
-		nw.flights = append(nw.flights, flight{})
-		idx = uint64(len(nw.flights) - 1)
+		nw.flights[idx] = *p
+		return idx
 	}
-	fl := &nw.flights[idx]
-	fl.p = p
-	fl.dsts = fl.dsts[:0]
-	return idx
+	nw.flights = append(nw.flights, *p)
+	return uint64(len(nw.flights) - 1)
 }
 
-// freeFlight returns a slot to the pool, keeping its dsts capacity.
+// freeFlight returns a slot to the pool, dropping the packet's references.
 func (nw *Network) freeFlight(idx uint64) {
-	fl := &nw.flights[idx]
-	fl.p = packet.Packet{}
-	fl.dsts = fl.dsts[:0]
+	nw.flights[idx] = packet.Packet{}
 	nw.freeFlights = append(nw.freeFlights, idx)
 }
 
@@ -254,12 +259,15 @@ func (nw *Network) Counters() *metrics.Counters { return nw.count }
 // draws so a single seed reproduces a run).
 func (nw *Network) RNG() *sim.RNG { return nw.rng }
 
-// SetTrace installs a trace callback; pass nil to disable.
+// SetTrace installs a trace callback; pass nil to disable. The callback
+// runs inside the event loop and must not Send.
 func (nw *Network) SetTrace(fn func(TraceEvent)) { nw.trace = fn }
 
-func (nw *Network) emit(ev TraceEvent) {
+// emit traces one action on p. The TraceEvent, with its copy of the
+// packet, is built only when a trace is installed.
+func (nw *Network) emit(kind TraceKind, p *packet.Packet, node packet.NodeID, reason string) {
 	if nw.trace != nil {
-		nw.trace(ev)
+		nw.trace(TraceEvent{Kind: kind, Packet: *p, Node: node, Reason: reason})
 	}
 }
 
@@ -295,7 +303,7 @@ func (nw *Network) Send(p packet.Packet) {
 	}
 	if !nw.alive[p.Src] {
 		nw.count.Drops++
-		nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: p.Src, Reason: "sender down"})
+		nw.emit(TraceDrop, &p, p.Src, "sender down")
 		return
 	}
 	model := nw.field.Model()
@@ -330,42 +338,46 @@ func (nw *Network) Send(p packet.Packet) {
 	}
 
 	nw.count.CountSend(p.Kind)
-	nw.emit(TraceEvent{Kind: TraceTx, Packet: p, Node: p.Src})
+	nw.emit(TraceTx, &p, p.Src, "")
 
-	nw.sched.AtArg(end, nw.completeFn, nw.allocFlight(p))
+	nw.sched.AtArg(end, nw.completeFn, nw.allocFlight(&p))
 }
 
 // onComplete finishes the transmission in arena slot arg: verifies the
 // sender survived the airtime, charges energies, and delivers to the
 // recipient set, whose handlers then run in one batched event at +proc.
+// The packet is read in place: nothing here can grow the arena.
 func (nw *Network) onComplete(arg uint64) {
-	p := nw.flights[arg].p
+	p := &nw.flights[arg]
 	if !nw.alive[p.Src] {
 		// Sender failed mid-transmission: the frame never finished.
 		nw.count.Drops++
-		nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: p.Src, Reason: "sender failed mid-tx"})
+		nw.emit(TraceDrop, p, p.Src, "sender failed mid-tx")
 		nw.freeFlight(arg)
 		return
 	}
 	model := nw.field.Model()
 	nw.energy.AddTx(p.Src, model.TxEnergy(p.Bytes, p.Level))
+	rx := model.RxEnergy(p.Bytes)
 
+	start := len(nw.rxq)
 	if p.Dst == packet.Broadcast {
 		for _, dst := range nw.field.ReachedBy(p.Src, p.Level) {
-			nw.deliver(arg, p, dst)
+			nw.deliver(p, dst, rx)
 		}
 	} else {
 		nw.check(p.Dst)
 		if !nw.field.InRange(p.Src, p.Dst, p.Level) {
 			// Receiver moved out of range during the exchange.
 			nw.count.Drops++
-			nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: p.Dst, Reason: "out of range"})
+			nw.emit(TraceDrop, p, p.Dst, "out of range")
 			nw.freeFlight(arg)
 			return
 		}
-		nw.deliver(arg, p, p.Dst)
+		nw.deliver(p, p.Dst, rx)
 	}
-	if len(nw.flights[arg].dsts) > 0 {
+	if len(nw.rxq) > start {
+		nw.rxq = append(nw.rxq, packet.None)
 		nw.sched.AtArg(nw.sched.Now()+nw.proc, nw.deliverFn, arg)
 		return
 	}
@@ -373,34 +385,33 @@ func (nw *Network) onComplete(arg uint64) {
 }
 
 // deliver records the delivery of p to dst at the current (completion)
-// time: liveness check, receive energy, trace. The handler call is queued
-// on the flight's batch.
-func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
+// time: liveness check, receive energy rx, trace. The handler call is
+// queued on the receiver FIFO.
+func (nw *Network) deliver(p *packet.Packet, dst packet.NodeID, rx radio.Energy) {
 	if !nw.alive[dst] {
 		nw.count.Drops++
-		nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: dst, Reason: "receiver down"})
+		nw.emit(TraceDrop, p, dst, "receiver down")
 		return
 	}
-	nw.energy.AddRx(dst, nw.field.Model().RxEnergy(p.Bytes))
-	nw.emit(TraceEvent{Kind: TraceDeliver, Packet: p, Node: dst})
-	fl := &nw.flights[arg]
-	fl.dsts = append(fl.dsts, dst)
+	nw.energy.AddRx(dst, rx)
+	nw.emit(TraceDeliver, p, dst, "")
+	nw.rxq = append(nw.rxq, dst)
 }
 
-// onDeliverBatch runs the protocol handlers of every receiver collected at
-// completion time, in delivery order, re-checking liveness: a receiver that
-// failed between delivery and processing silently skips its handler, exactly
-// as the per-receiver After(Proc) closures it replaces did. Handlers may
-// Send (growing the arena), so the slot is re-indexed each iteration and
-// freed only after the last handler returns.
+// onDeliverBatch runs the protocol handlers of the receivers flight arg
+// reached, in delivery order — the run at the head of the receiver FIFO —
+// re-checking liveness: a receiver that failed between delivery and
+// processing silently skips its handler. Handlers may Send, which can move
+// the flight arena, so the packet is copied out once; they never complete
+// a transmission, so the FIFO does not move under the batch.
 func (nw *Network) onDeliverBatch(arg uint64) {
-	p := nw.flights[arg].p
-	for i := 0; ; i++ {
-		fl := &nw.flights[arg]
-		if i >= len(fl.dsts) {
+	p := nw.flights[arg]
+	for {
+		dst := nw.rxq[nw.rxHead]
+		nw.rxHead++
+		if dst == packet.None {
 			break
 		}
-		dst := fl.dsts[i]
 		if !nw.alive[dst] {
 			continue
 		}
@@ -411,6 +422,17 @@ func (nw *Network) onDeliverBatch(arg uint64) {
 		h.HandlePacket(p)
 	}
 	nw.freeFlight(arg)
+	// Reclaim the consumed prefix: reset when drained, else slide the
+	// pending runs down once the prefix outgrows them, so the copy is
+	// amortized over the entries consumed.
+	if nw.rxHead == len(nw.rxq) {
+		nw.rxq = nw.rxq[:0]
+		nw.rxHead = 0
+	} else if 2*nw.rxHead >= len(nw.rxq) {
+		n := copy(nw.rxq, nw.rxq[nw.rxHead:])
+		nw.rxq = nw.rxq[:n]
+		nw.rxHead = 0
+	}
 }
 
 func (nw *Network) check(id packet.NodeID) {

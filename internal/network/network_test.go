@@ -193,7 +193,7 @@ func TestSenderFailsMidTransmission(t *testing.T) {
 	fx := newFixture(t, noBackoff())
 	fx.nw.Send(packet.Packet{Kind: packet.DATA, Src: 0, Dst: 1, Level: 5})
 	// Kill the sender while the frame is in the air (airtime ≈ 2.04 ms).
-	fx.sched.After(time.Millisecond, func() { fx.nw.Fail(0) })
+	fx.sched.AfterArg(time.Millisecond, func(uint64) { fx.nw.Fail(0) }, 0)
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}

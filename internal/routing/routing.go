@@ -138,10 +138,9 @@ type vecEntry struct {
 // improved, so the dense update would reject that candidate again.
 //
 // Exactness condition: that last step needs "better" (lower cost beyond
-// costEpsilon, then fewer hops) to be a strict weak order on the costs
-// that occur, i.e. approxEqual must be transitive on them: any two path
-// costs are either equal up to rounding or apart by much more than
-// costEpsilon. The MICA2-scaled models meet it by a wide margin: on the
+// costEpsilon) to be a strict weak order on the costs that occur, i.e.
+// approxEqual must be transitive on them: any two path costs are either
+// equal up to rounding or apart by much more than costEpsilon. The MICA2-scaled models meet it by a wide margin: on the
 // fields the tests and experiments use, distinct path costs lie at least
 // ~1.6e-4 of the top power level apart (~2e-7 mW at a 10 m radius), while
 // equal costs differ by under 1e-15 mW of rounding. deriveRoutes relies on
@@ -232,16 +231,18 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 // published, reached over a link of weight w. It returns changed extended
 // by each destination that improved for the first time this round. It is
 // a function of its own, not part of the kernel closure, so that its loop
-// state stays in registers. The relax test is the dense kernel's, float
-// expression for float expression; self's own entry (0 cost, 0 hops) can
-// never pass it with positive link weights, so the skip sits after the
-// test, off the hot path.
+// state stays in registers. The relax test is the dense kernel's cost
+// test, float expression for float expression. The dense kernel's second
+// clause — an equal cost over fewer hops — cannot fire in rounds that
+// start from scratch (DESIGN.md §8), so it is not repeated here. Self's
+// own entry (0 cost, 0 hops) can never pass the test with positive link
+// weights, so the skip sits after it, off the hot path.
 func relax(dist []float64, hops []int32, dirty []bool, changed []int32, self int32, w float64, snap []vecEntry) []int32 {
 	hops, dirty = hops[:len(dist)], dirty[:len(dist)] // one bounds check on d covers all three rows
 	for _, v := range snap {
 		d := v.dest
 		cand, h := w+v.cost, 1+v.hops
-		if cand < dist[d]-costEpsilon || (h < hops[d] && approxEqual(cand, dist[d])) {
+		if cand < dist[d]-costEpsilon {
 			if d == self {
 				continue
 			}

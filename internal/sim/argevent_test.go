@@ -1,8 +1,9 @@
 package sim
 
-// Tests for the argument-carrying event path (AtArg/AfterArg): ordering
-// against closure events, argument fidelity, Timer cancellation, and the
-// allocation-free guarantee that motivates the whole mechanism.
+// Tests for the argument-carrying event path (AtArg/AfterArg), the
+// kernel's one way to schedule: ordering across handlers, argument
+// fidelity, Timer cancellation, and the allocation-free guarantee that
+// motivates the whole mechanism.
 
 import (
 	"testing"
@@ -30,22 +31,32 @@ func TestAtArgDispatchesWithArgument(t *testing.T) {
 	}
 }
 
+// orderRecorder is a handler owner whose method value is bound once, the
+// way production callers schedule.
+type orderRecorder struct{ order []int }
+
+func (r *orderRecorder) record(arg uint64) { r.order = append(r.order, int(arg)) }
+
 func TestAtArgFIFOWithClosureEvents(t *testing.T) {
-	// Arg events and closure events scheduled at the same instant dispatch
-	// in scheduling order: the (at, seq) total order is shared, not
-	// per-mechanism.
+	// Events at the same instant dispatch in scheduling order whatever
+	// their handler: a bound method value and func-literal closures share
+	// the one (at, seq) total order.
 	s := NewScheduler()
-	var order []int
-	s.At(time.Millisecond, func() { order = append(order, 0) })
-	s.AtArg(time.Millisecond, func(uint64) { order = append(order, 1) }, 0)
-	s.At(time.Millisecond, func() { order = append(order, 2) })
-	s.AtArg(time.Millisecond, func(uint64) { order = append(order, 3) }, 0)
+	r := &orderRecorder{}
+	method := ArgHandler(r.record)
+	s.AtArg(time.Millisecond, func(uint64) { r.order = append(r.order, 0) }, 0)
+	s.AtArg(time.Millisecond, method, 1)
+	s.AtArg(time.Millisecond, func(uint64) { r.order = append(r.order, 2) }, 0)
+	s.AtArg(time.Millisecond, method, 3)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	for i, v := range order {
+	if len(r.order) != 4 {
+		t.Fatalf("dispatched %v, want 4 events", r.order)
+	}
+	for i, v := range r.order {
 		if v != i {
-			t.Fatalf("mixed dispatch order %v, want ascending", order)
+			t.Fatalf("mixed dispatch order %v, want ascending", r.order)
 		}
 	}
 }
@@ -72,28 +83,31 @@ func TestAtArgTimerCancel(t *testing.T) {
 }
 
 func TestAtArgSlotReuseClearsHandler(t *testing.T) {
-	// An arg event's slot, once recycled for a closure event, must dispatch
-	// the closure — not the stale ArgHandler.
+	// A recycled slot dispatches its new occupant's handler and argument —
+	// not the stale ones of the event that fired from it.
 	s := NewScheduler()
-	argFired, fnFired := 0, 0
-	s.AtArg(time.Millisecond, func(uint64) { argFired++ }, 1)
+	var firstArgs, secondArgs []uint64
+	s.AtArg(time.Millisecond, func(arg uint64) { firstArgs = append(firstArgs, arg) }, 1)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	s.After(time.Millisecond, func() { fnFired++ })
+	s.AfterArg(time.Millisecond, func(arg uint64) { secondArgs = append(secondArgs, arg) }, 2)
+	if s.ArenaSize() != 1 {
+		t.Fatalf("ArenaSize = %d, want 1 (the slot is reused)", s.ArenaSize())
+	}
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if argFired != 1 || fnFired != 1 {
-		t.Fatalf("argFired=%d fnFired=%d, want 1/1", argFired, fnFired)
+	if len(firstArgs) != 1 || firstArgs[0] != 1 || len(secondArgs) != 1 || secondArgs[0] != 2 {
+		t.Fatalf("first handler got %v, second %v; want [1] and [2]", firstArgs, secondArgs)
 	}
 }
 
-// TestAtArgSteadyStateAllocFree is the arg-event counterpart of
-// TestSchedulerSteadyStateAllocFree: a pre-bound handler plus a uint64
-// argument must schedule and dispatch with zero heap allocations, because
-// that pair is exactly what the network layer uses to avoid per-packet
-// closures.
+// TestAtArgSteadyStateAllocFree is the argument-carrying counterpart of
+// TestSchedulerSteadyStateAllocFree: a pre-bound handler plus a varying
+// uint64 argument must schedule and dispatch with zero heap allocations,
+// because that pair is exactly what every timer and network event uses in
+// place of a per-event closure.
 func TestAtArgSteadyStateAllocFree(t *testing.T) {
 	s := NewScheduler()
 	var sink uint64

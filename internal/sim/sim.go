@@ -24,30 +24,25 @@ import (
 // explicitly via Stop before the run condition was met.
 var ErrStopped = errors.New("sim: stopped")
 
-// Handler is a scheduled callback. It runs with the clock set to the
-// event's timestamp.
-type Handler func()
-
-// ArgHandler is a scheduled callback that receives the argument it was
-// scheduled with (AtArg/AfterArg). Carrying the argument through the event
-// arena lets hot paths schedule a method value plus an index instead of
-// allocating a fresh closure per event — the network layer's transmission
-// and delivery-batch events use this to keep the steady-state schedule →
+// ArgHandler is a scheduled callback. It runs with the clock set to the
+// event's timestamp and receives the argument it was scheduled with
+// (AtArg/AfterArg). Carrying the argument through the event arena lets
+// every caller schedule a method value bound once at construction plus an
+// index into its own state, instead of allocating a closure per event:
+// that is the kernel's one scheduling path, and it keeps the schedule →
 // dispatch → recycle cycle allocation-free.
 type ArgHandler func(arg uint64)
 
-// event is one arena slot. seq breaks ties between events at the same
-// virtual instant so dispatch order is deterministic; it is also the
+// event is one 40-byte arena slot. seq breaks ties between events at the
+// same virtual instant so dispatch order is deterministic; it is also the
 // event's identity — unique over the scheduler's whole lifetime — so a
 // Timer holding the seq it was issued under can never alias the slot's
 // next occupant, even after arbitrarily many reuses. pos is the slot's
-// current position in the heap, -1 while free. Exactly one of fn/afn is
-// set; afn events carry arg.
+// current position in the heap, -1 while free.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  Handler
-	afn ArgHandler
+	fn  ArgHandler
 	arg uint64
 	pos int32
 }
@@ -162,11 +157,10 @@ func (s *Scheduler) alloc() int32 {
 
 // release recycles a slot: clearing pos invalidates outstanding Timers
 // (their seq check closes the reuse race), and dropping fn releases the
-// handler closure to the GC.
+// handler to the GC.
 func (s *Scheduler) release(idx int32) {
 	ev := &s.arena[idx]
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = 0
 	ev.pos = -1
 	s.free = append(s.free, idx)
@@ -253,37 +247,11 @@ func (s *Scheduler) siftDown(i int) {
 	s.arena[e.idx].pos = int32(i)
 }
 
-// At schedules fn to run at the absolute virtual time at. Scheduling in the
-// past (before Now) panics: it is always a model bug, and silently clamping
-// would mask causality violations.
-func (s *Scheduler) At(at time.Duration, fn Handler) Timer {
-	if fn == nil {
-		panic("sim: Scheduler.At: nil handler")
-	}
-	if at < s.now {
-		panic(fmt.Sprintf("sim: Scheduler.At: scheduling at %v before now %v", at, s.now))
-	}
-	idx := s.alloc()
-	ev := &s.arena[idx]
-	ev.at = at
-	ev.seq = s.seq
-	ev.fn = fn
-	s.seq++
-	s.heapPush(idx)
-	return Timer{s: s, idx: idx, seq: ev.seq, at: at}
-}
-
-// After schedules fn to run d after the current virtual time. A negative d
-// panics, matching At's past-scheduling rule.
-func (s *Scheduler) After(d time.Duration, fn Handler) Timer {
-	return s.At(s.now+d, fn)
-}
-
-// AtArg schedules fn(arg) to run at the absolute virtual time at. It is the
-// allocation-free sibling of At: fn is typically a method value created once
-// and reused, and arg an index into caller-owned pooled state, so the hot
-// path schedules without materializing a closure. Ordering, Timer semantics,
-// and the past-scheduling panic are identical to At.
+// AtArg schedules fn(arg) to run at the absolute virtual time at. fn is
+// typically a method value created once and reused, and arg an index into
+// caller-owned pooled state, so scheduling materializes no closure.
+// Scheduling in the past (before Now) panics: it is always a model bug,
+// and silently clamping would mask causality violations.
 func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
 	if fn == nil {
 		panic("sim: Scheduler.AtArg: nil handler")
@@ -295,14 +263,15 @@ func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
 	ev := &s.arena[idx]
 	ev.at = at
 	ev.seq = s.seq
-	ev.afn = fn
+	ev.fn = fn
 	ev.arg = arg
 	s.seq++
 	s.heapPush(idx)
 	return Timer{s: s, idx: idx, seq: ev.seq, at: at}
 }
 
-// AfterArg schedules fn(arg) to run d after the current virtual time.
+// AfterArg schedules fn(arg) to run d after the current virtual time. A
+// negative d panics, matching AtArg's past-scheduling rule.
 func (s *Scheduler) AfterArg(d time.Duration, fn ArgHandler, arg uint64) Timer {
 	return s.AtArg(s.now+d, fn, arg)
 }
@@ -321,15 +290,11 @@ func (s *Scheduler) step() bool {
 	idx := s.heap[0].idx
 	s.heapRemove(0)
 	ev := &s.arena[idx]
-	at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
+	at, fn, arg := ev.at, ev.fn, ev.arg
 	s.release(idx)
 	s.now = at
 	s.dispatched++
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 

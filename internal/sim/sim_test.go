@@ -11,9 +11,9 @@ import (
 func TestSchedulerDispatchOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(30*time.Millisecond, func() { got = append(got, 3) })
-	s.At(10*time.Millisecond, func() { got = append(got, 1) })
-	s.At(20*time.Millisecond, func() { got = append(got, 2) })
+	s.AtArg(30*time.Millisecond, func(uint64) { got = append(got, 3) }, 0)
+	s.AtArg(10*time.Millisecond, func(uint64) { got = append(got, 1) }, 0)
+	s.AtArg(20*time.Millisecond, func(uint64) { got = append(got, 2) }, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5*time.Millisecond, func() { got = append(got, i) })
+		s.AtArg(5*time.Millisecond, func(uint64) { got = append(got, i) }, 0)
 	}
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
@@ -49,7 +49,7 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 func TestSchedulerClockAdvances(t *testing.T) {
 	s := NewScheduler()
 	var at time.Duration
-	s.At(7*time.Millisecond, func() { at = s.Now() })
+	s.AtArg(7*time.Millisecond, func(uint64) { at = s.Now() }, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
@@ -64,9 +64,9 @@ func TestSchedulerClockAdvances(t *testing.T) {
 func TestSchedulerAfterIsRelative(t *testing.T) {
 	s := NewScheduler()
 	var second time.Duration
-	s.At(4*time.Millisecond, func() {
-		s.After(6*time.Millisecond, func() { second = s.Now() })
-	})
+	s.AtArg(4*time.Millisecond, func(uint64) {
+		s.AfterArg(6*time.Millisecond, func(uint64) { second = s.Now() }, 0)
+	}, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestSchedulerAfterIsRelative(t *testing.T) {
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10*time.Millisecond, func() {})
+	s.AtArg(10*time.Millisecond, func(uint64) {}, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestSchedulerPastSchedulingPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(5*time.Millisecond, func() {})
+	s.AtArg(5*time.Millisecond, func(uint64) {}, 0)
 }
 
 func TestSchedulerNilHandlerPanics(t *testing.T) {
@@ -96,13 +96,13 @@ func TestSchedulerNilHandlerPanics(t *testing.T) {
 			t.Fatal("nil handler did not panic")
 		}
 	}()
-	s.At(time.Millisecond, nil)
+	s.AtArg(time.Millisecond, nil, 0)
 }
 
 func TestTimerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	timer := s.At(time.Millisecond, func() { fired = true })
+	timer := s.AtArg(time.Millisecond, func(uint64) { fired = true }, 0)
 	if !timer.Active() {
 		t.Fatal("timer should be active before firing")
 	}
@@ -125,7 +125,7 @@ func TestTimerCancel(t *testing.T) {
 
 func TestTimerCancelAfterFireIsNoop(t *testing.T) {
 	s := NewScheduler()
-	timer := s.At(time.Millisecond, func() {})
+	timer := s.AtArg(time.Millisecond, func(uint64) {}, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestZeroTimerIsInert(t *testing.T) {
 	}
 	// Copies of a timer handle are interchangeable with the original.
 	s := NewScheduler()
-	orig := s.At(time.Millisecond, func() {})
+	orig := s.AtArg(time.Millisecond, func(uint64) {}, 0)
 	copied := orig
 	if !copied.Cancel() {
 		t.Fatal("copied handle should cancel the original's event")
@@ -165,7 +165,7 @@ func TestRunStopsAtBoundary(t *testing.T) {
 	var fired []time.Duration
 	for _, at := range []time.Duration{1, 2, 3, 4, 5} {
 		at := at * time.Millisecond
-		s.At(at, func() { fired = append(fired, at) })
+		s.AtArg(at, func(uint64) { fired = append(fired, at) }, 0)
 	}
 	if err := s.Run(3 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -186,7 +186,7 @@ func TestRunStopsAtBoundary(t *testing.T) {
 
 func TestRunIntoPastFails(t *testing.T) {
 	s := NewScheduler()
-	s.At(5*time.Millisecond, func() {})
+	s.AtArg(5*time.Millisecond, func(uint64) {}, 0)
 	if err := s.Run(5 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -198,15 +198,15 @@ func TestRunIntoPastFails(t *testing.T) {
 func TestStopInterruptsRun(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var reschedule func()
-	reschedule = func() {
+	var reschedule ArgHandler
+	reschedule = func(uint64) {
 		count++
 		if count == 5 {
 			s.Stop()
 		}
-		s.After(time.Millisecond, reschedule)
+		s.AfterArg(time.Millisecond, reschedule, 0)
 	}
-	s.After(time.Millisecond, reschedule)
+	s.AfterArg(time.Millisecond, reschedule, 0)
 	err := s.RunUntilIdle(0)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("RunUntilIdle err=%v, want ErrStopped", err)
@@ -222,9 +222,9 @@ func TestStopInterruptsRun(t *testing.T) {
 
 func TestRunUntilIdleGuard(t *testing.T) {
 	s := NewScheduler()
-	var loop func()
-	loop = func() { s.After(time.Microsecond, loop) }
-	s.After(time.Microsecond, loop)
+	var loop ArgHandler
+	loop = func(uint64) { s.AfterArg(time.Microsecond, loop, 0) }
+	s.AfterArg(time.Microsecond, loop, 0)
 	if err := s.RunUntilIdle(100); err == nil {
 		t.Fatal("runaway loop should trip the maxEvents guard")
 	}
@@ -232,8 +232,8 @@ func TestRunUntilIdleGuard(t *testing.T) {
 
 func TestLenCountsPending(t *testing.T) {
 	s := NewScheduler()
-	a := s.At(time.Millisecond, func() {})
-	s.At(2*time.Millisecond, func() {})
+	a := s.AtArg(time.Millisecond, func(uint64) {}, 0)
+	s.AtArg(2*time.Millisecond, func(uint64) {}, 0)
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len()=%d, want 2", got)
 	}
@@ -246,9 +246,9 @@ func TestLenCountsPending(t *testing.T) {
 func TestDispatchedCounter(t *testing.T) {
 	s := NewScheduler()
 	for i := 1; i <= 4; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func() {})
+		s.AtArg(time.Duration(i)*time.Millisecond, func(uint64) {}, 0)
 	}
-	canceled := s.At(5*time.Millisecond, func() {})
+	canceled := s.AtArg(5*time.Millisecond, func(uint64) {}, 0)
 	canceled.Cancel()
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
@@ -271,13 +271,13 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		ordered := true
 		fired := 0
 		for _, off := range offsets {
-			s.At(time.Duration(off)*time.Microsecond, func() {
+			s.AtArg(time.Duration(off)*time.Microsecond, func(uint64) {
 				if s.Now() < last {
 					ordered = false
 				}
 				last = s.Now()
 				fired++
-			})
+			}, 0)
 		}
 		if err := s.RunUntilIdle(0); err != nil {
 			return false
@@ -300,7 +300,7 @@ func TestSchedulerCancelIsEager(t *testing.T) {
 		s := NewScheduler()
 		timers := make([]Timer, len(offsets))
 		for i, off := range offsets {
-			timers[i] = s.At(time.Duration(off)*time.Microsecond, func() {})
+			timers[i] = s.AtArg(time.Duration(off)*time.Microsecond, func(uint64) {}, 0)
 		}
 		want := len(offsets)
 		for i := range timers {
@@ -342,17 +342,17 @@ func TestSchedulerCancelIsEager(t *testing.T) {
 // behind the kernel's pooled-arena design (CI runs it explicitly).
 func TestSchedulerSteadyStateAllocFree(t *testing.T) {
 	s := NewScheduler()
-	fn := func() {}
+	fn := ArgHandler(func(uint64) {})
 	// Warm the arena, free list, and heap slice past the working set.
 	for i := 0; i < 1024; i++ {
-		s.After(time.Microsecond, fn)
+		s.AfterArg(time.Microsecond, fn, 0)
 	}
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 512; i++ {
-			s.After(time.Microsecond, fn)
+			s.AfterArg(time.Microsecond, fn, 0)
 		}
 		if err := s.RunUntilIdle(0); err != nil {
 			t.Error(err)
@@ -367,12 +367,12 @@ func TestSchedulerSteadyStateAllocFree(t *testing.T) {
 // inert even after its arena slot is recycled for a new event.
 func TestTimerStaleAfterSlotReuse(t *testing.T) {
 	s := NewScheduler()
-	old := s.At(time.Millisecond, func() {})
+	old := s.AtArg(time.Millisecond, func(uint64) {}, 0)
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
 	// The freed slot is reused by the next schedule.
-	fresh := s.At(2*time.Millisecond, func() {})
+	fresh := s.AtArg(2*time.Millisecond, func(uint64) {}, 0)
 	if old.Active() {
 		t.Fatal("stale handle reports active after slot reuse")
 	}
@@ -534,7 +534,7 @@ func TestSchedulerKernelStats(t *testing.T) {
 	// Schedule 10 events at distinct times before running: all ten are
 	// pending at once, so the peak must be exactly 10.
 	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func() {})
+		s.AtArg(time.Duration(i)*time.Millisecond, func(uint64) {}, 0)
 	}
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
@@ -550,14 +550,14 @@ func TestSchedulerKernelStats(t *testing.T) {
 	// never holds more than one pending event.
 	s2 := NewScheduler()
 	var hops int
-	var hop func()
-	hop = func() {
+	var hop ArgHandler
+	hop = func(uint64) {
 		hops++
 		if hops < 100 {
-			s2.After(time.Millisecond, hop)
+			s2.AfterArg(time.Millisecond, hop, 0)
 		}
 	}
-	s2.After(time.Millisecond, hop)
+	s2.AfterArg(time.Millisecond, hop, 0)
 	if err := s2.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
 	}

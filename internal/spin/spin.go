@@ -44,6 +44,10 @@ type System struct {
 	interest dissem.Interest
 	cfg      Config
 	nodes    []node
+
+	// pendingFn is the pending-timer handler, bound once so arming a
+	// timer allocates nothing; its argument is node<<32 | item.
+	pendingFn sim.ArgHandler
 }
 
 var _ dissem.Protocol = (*System)(nil)
@@ -64,6 +68,7 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 		cfg.PendingTimeout = derivePendingTimeout(nw, cfg.Proc)
 	}
 	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg}
+	s.pendingFn = s.onPendingExpired
 	nw.SetProcessingDelay(cfg.Proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
 	// per-node state is a flat array walk rather than a pointer chase.
@@ -204,12 +209,17 @@ func (n *node) onADV(p packet.Packet, it int) {
 	})
 	if it >= 0 {
 		n.grow(it)
-		n.pending[it] = n.sys.nw.Scheduler().After(n.sys.cfg.PendingTimeout, func() {
-			// Expiry simply clears the suppression; a later ADV re-requests.
-			n.pending[it] = sim.Timer{}
-			n.sys.nw.Counters().Timeouts++
-		})
+		n.pending[it] = n.sys.nw.Scheduler().AfterArg(n.sys.cfg.PendingTimeout,
+			n.sys.pendingFn, uint64(n.id)<<32|uint64(it))
 	}
+}
+
+// onPendingExpired ends the pending window of node arg>>32 for item
+// uint32(arg). Expiry simply clears the suppression; a later ADV
+// re-requests.
+func (s *System) onPendingExpired(arg uint64) {
+	s.nodes[arg>>32].pending[uint32(arg)] = sim.Timer{}
+	s.nw.Counters().Timeouts++
 }
 
 // onREQ serves data the node holds.

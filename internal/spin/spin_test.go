@@ -210,8 +210,8 @@ func TestReRequestAfterProviderFailure(t *testing.T) {
 	if err := fx.sys.Originate(4, d); err != nil {
 		t.Fatalf("Originate: %v", err)
 	}
-	fx.sched.After(25*time.Millisecond, func() { fx.nw.Fail(4) })
-	fx.sched.After(400*time.Millisecond, func() { fx.nw.Recover(4) })
+	fx.sched.AfterArg(25*time.Millisecond, func(uint64) { fx.nw.Fail(4) }, 0)
+	fx.sched.AfterArg(400*time.Millisecond, func(uint64) { fx.nw.Recover(4) }, 0)
 	run(t, fx, 3*time.Second)
 	// The origin's first ADV may or may not beat the failure; after
 	// recovery nothing re-advertises in plain SPIN unless some node got the

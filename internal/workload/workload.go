@@ -286,20 +286,34 @@ func (g *Generator) Schedule(sched *sim.Scheduler, p dissem.Protocol) {
 	if sched == nil || p == nil {
 		panic("workload: Schedule with nil scheduler or protocol")
 	}
-	for _, ev := range g.events {
-		ev := ev
-		var attempt func(retries int)
-		attempt = func(retries int) {
-			err := p.Originate(ev.data.Origin, ev.data)
-			if err == nil {
-				return
-			}
-			if retries >= maxOriginateRetries {
-				g.skipped++
-				return
-			}
-			sched.After(retryDelay, func() { attempt(retries + 1) })
-		}
-		sched.At(ev.at, func() { attempt(0) })
+	o := &originator{g: g, sched: sched, p: p}
+	o.fn = o.originate
+	for i, ev := range g.events {
+		sched.AtArg(ev.at, o.fn, uint64(i))
 	}
+}
+
+// originator drives one Schedule call's originations. Its handler is bound
+// once, and each event's argument packs the retry count above the event
+// index (retries<<32 | index), so neither the originations nor their
+// retries allocate.
+type originator struct {
+	g     *Generator
+	sched *sim.Scheduler
+	p     dissem.Protocol
+	fn    sim.ArgHandler
+}
+
+// originate attempts the origination arg names, re-arming itself after
+// retryDelay while the origin is down and retries remain.
+func (o *originator) originate(arg uint64) {
+	ev := o.g.events[uint32(arg)]
+	if err := o.p.Originate(ev.data.Origin, ev.data); err == nil {
+		return
+	}
+	if arg>>32 >= maxOriginateRetries {
+		o.g.skipped++
+		return
+	}
+	o.sched.AfterArg(retryDelay, o.fn, arg+1<<32)
 }
