@@ -83,7 +83,7 @@ func (s *System) Query(requester packet.NodeID, d packet.DataID) error {
 			if acq == nil {
 				acq = n.acquire(d, it, d.Origin)
 			}
-			if acq.tauDAT.Active() {
+			if armed(acq.tauDAT) {
 				return nil // a request is already in flight
 			}
 			n.sendREQ(acq, d.Origin, hops == 1)

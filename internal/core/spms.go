@@ -301,6 +301,11 @@ type acquisition struct {
 	prone packet.NodeID // primary originator node
 	scone packet.NodeID // secondary originator node
 
+	// The timer handles double as the protocol's own timer state: every
+	// path that fires or cancels τADV or τDAT zeroes its handle (stop, and
+	// the expiry handlers), so a non-zero handle is a pending timer and the
+	// ADV path answers "is a request outstanding" without reading the
+	// scheduler's arena (armed).
 	tauADV sim.Timer
 	tauDAT sim.Timer
 
@@ -396,11 +401,21 @@ func (n *node) acquire(d packet.DataID, it int, provider packet.NodeID) *acquisi
 	return acq
 }
 
+// armed reports whether the acquisition timer t is pending. It reads only
+// the handle, which stop and the expiry handlers zero (see acquisition).
+func armed(t sim.Timer) bool { return t != sim.Timer{} }
+
+// stop cancels the acquisition timer *t and zeroes its handle.
+func stop(t *sim.Timer) {
+	t.Cancel()
+	*t = sim.Timer{}
+}
+
 // finish closes a satisfied acquisition: its timers are cancelled, the
 // node forgets it and its slab slot is freed for reuse.
 func (n *node) finish(acq *acquisition) {
-	acq.tauADV.Cancel()
-	acq.tauDAT.Cancel()
+	stop(&acq.tauADV)
+	stop(&acq.tauDAT)
 	if acq.it >= 0 {
 		n.want[acq.it] = nil
 	} else {
@@ -504,7 +519,7 @@ func (n *node) onADV(p packet.Packet, it int) {
 			promoted = true
 		}
 	}
-	if acq.tauDAT.Active() {
+	if armed(acq.tauDAT) {
 		// A request is already outstanding; the PRONE/SCONE update above is
 		// all this ADV changes.
 		return
@@ -513,21 +528,21 @@ func (n *node) onADV(p packet.Packet, it int) {
 	if !ok {
 		// PRONE unreachable by routing (e.g. source in another zone whose
 		// ADV still arrived radio-wise). Wait for a closer advertiser.
-		if promoted || !acq.tauADV.Active() {
+		if promoted || !armed(acq.tauADV) {
 			n.armTauADV(acq)
 		}
 		return
 	}
 	if hops == 1 {
 		// Next-hop neighbor: request immediately, directly.
-		acq.tauADV.Cancel()
+		stop(&acq.tauADV)
 		n.sendREQ(acq, acq.prone, true)
 		return
 	}
 	// Multi-hop would be needed: wait τADV for a relay's advertisement.
 	// Re-arming on a PRONE promotion matches §3.5 ("C ... resets its timer
 	// τADV"); unrelated repeat ADVs must not postpone the timer forever.
-	if promoted || !acq.tauADV.Active() {
+	if promoted || !armed(acq.tauADV) {
 		n.armTauADV(acq)
 	}
 }
@@ -544,6 +559,7 @@ func (n *node) armTauADV(acq *acquisition) {
 // request from the PRONE through the shortest path.
 func (s *System) onTauADV(arg uint64) {
 	acq := s.acqAt(arg)
+	acq.tauADV = sim.Timer{}
 	n := &s.nodes[acq.node]
 	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
 		return
@@ -558,8 +574,8 @@ func (s *System) onTauADV(arg uint64) {
 func (n *node) sendREQ(acq *acquisition, target packet.NodeID, direct bool) {
 	if acq.attempts >= n.sys.cfg.MaxAttempts {
 		acq.abandoned = true
-		acq.tauADV.Cancel()
-		acq.tauDAT.Cancel()
+		stop(&acq.tauADV)
+		stop(&acq.tauDAT)
 		return
 	}
 	acq.attempts++
@@ -662,6 +678,7 @@ func (n *node) armTauDAT(acq *acquisition, hops int) {
 // request was lost, so fail over.
 func (s *System) onTauDAT(arg uint64) {
 	acq := s.acqAt(arg)
+	acq.tauDAT = sim.Timer{}
 	n := &s.nodes[acq.node]
 	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
 		return

@@ -2,8 +2,9 @@ package core
 
 // White-box tests for recovery paths that are hard to reach through
 // end-to-end timing alone: the direct→routed REQ fallback (mobility moves a
-// PRONE out of direct range), abandonment when no route exists at all, and
-// degenerate query replies.
+// PRONE out of direct range), abandonment when no route exists at all,
+// degenerate query replies, and the protocol-owned timer state (armed)
+// against the scheduler's view.
 
 import (
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dissem"
 	"repro/internal/packet"
 	"repro/internal/radio"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -173,5 +175,147 @@ func TestForwardSourceRoutedConsumesTrail(t *testing.T) {
 		Trail: []packet.NodeID{2}, Bytes: 40}
 	if !n.forwardSourceRouted(p) {
 		t.Fatal("valid trail not consumed")
+	}
+}
+
+// checkTimerState fails unless both of acq's timers are in the wanted
+// state by the protocol's own check (armed) and by the scheduler's
+// (Timer.Active).
+func checkTimerState(t *testing.T, when string, acq *acquisition, wantADV, wantDAT bool) {
+	t.Helper()
+	if armed(acq.tauADV) != wantADV || acq.tauADV.Active() != wantADV {
+		t.Fatalf("%s: τADV armed=%v Active=%v, want %v", when, armed(acq.tauADV), acq.tauADV.Active(), wantADV)
+	}
+	if armed(acq.tauDAT) != wantDAT || acq.tauDAT.Active() != wantDAT {
+		t.Fatalf("%s: τDAT armed=%v Active=%v, want %v", when, armed(acq.tauDAT), acq.tauDAT.Active(), wantDAT)
+	}
+}
+
+// unheldItemFixture is a 3-node chain with item d0.0 registered in the
+// ledger but held by no node, so a request for it is never answered and
+// its τDAT always runs out.
+func unheldItemFixture(t *testing.T, seed int64) (*fixture, packet.DataID) {
+	t.Helper()
+	fx := chainFixture(t, 3, dissem.Everyone, seed)
+	d := packet.DataID{Origin: 0, Seq: 0}
+	if err := fx.ledger.Originate(d, 0); err != nil {
+		t.Fatalf("Originate: %v", err)
+	}
+	return fx, d
+}
+
+func TestOutstandingCheckAfterTimerFires(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// arm starts one timer and returns it; after it fires, the timers
+		// must be in the wanted states.
+		arm              func(n *node, acq *acquisition) *sim.Timer
+		wantADV, wantDAT bool
+	}{
+		// A direct request to a PRONE that is also the SCONE times out;
+		// the failover ladder then abandons without a new request.
+		{"tauDAT", func(n *node, acq *acquisition) *sim.Timer {
+			n.sendREQ(acq, 0, true)
+			return &acq.tauDAT
+		}, false, false},
+		// τADV expiry turns the wait into a multi-hop request.
+		{"tauADV", func(n *node, acq *acquisition) *sim.Timer {
+			n.armTauADV(acq)
+			return &acq.tauADV
+		}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx, d := unheldItemFixture(t, 31)
+			n := &fx.sys.nodes[2]
+			acq := n.acquire(d, n.item(d), 0)
+			fired := *tc.arm(n, acq)
+			if !armed(fired) || !fired.Active() {
+				t.Fatal("timer not armed")
+			}
+			run(t, fx, fired.At())
+			if fx.nw.Counters().Timeouts != 1 {
+				t.Fatalf("timeouts = %d, want 1", fx.nw.Counters().Timeouts)
+			}
+			checkTimerState(t, "after "+tc.name+" fired", acq, tc.wantADV, tc.wantDAT)
+			if fired.Active() {
+				t.Fatal("the fired handle is still active")
+			}
+		})
+	}
+}
+
+func TestOutstandingCheckAfterFinishAndAbandon(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close func(n *node, acq *acquisition)
+	}{
+		{"finish", func(n *node, acq *acquisition) { n.finish(acq) }},
+		{"abandon", func(n *node, acq *acquisition) {
+			acq.attempts = n.sys.cfg.MaxAttempts
+			n.sendREQ(acq, 0, true)
+			if !acq.abandoned {
+				t.Fatal("exhausted acquisition not abandoned")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx, d := unheldItemFixture(t, 33)
+			n := &fx.sys.nodes[2]
+			acq := n.acquire(d, n.item(d), 0)
+			n.sendREQ(acq, 0, true)
+			n.armTauADV(acq)
+			checkTimerState(t, "both armed", acq, true, true)
+			adv, dat := acq.tauADV, acq.tauDAT
+			tc.close(n, acq)
+			checkTimerState(t, "after "+tc.name, acq, false, false)
+			if adv.Active() || dat.Active() {
+				t.Fatalf("canceled handles still active: τADV %v, τDAT %v", adv.Active(), dat.Active())
+			}
+		})
+	}
+}
+
+func TestTimerStateAgreesWithSchedulerOverARun(t *testing.T) {
+	// Over a whole run with nodes failing and recovering, every slab
+	// acquisition — live or freed — has armed == Timer.Active for both
+	// timers at every check point, and the run does reach both states.
+	fx := gridFixture(t, 25, 10, dissem.Everyone, 34)
+	for src := 0; src < 25; src += 6 {
+		d := packet.DataID{Origin: packet.NodeID(src), Seq: 0}
+		if err := fx.sys.Originate(d.Origin, d); err != nil {
+			t.Fatalf("Originate: %v", err)
+		}
+	}
+	for i, id := range []packet.NodeID{7, 12, 18} {
+		at := time.Duration(i+1) * 2 * time.Millisecond
+		fx.sched.AtArg(at, func(uint64) { fx.nw.Fail(id) }, 0)
+		fx.sched.AtArg(at+20*time.Millisecond, func(uint64) { fx.nw.Recover(id) }, 0)
+	}
+	const horizon = 200 * time.Millisecond
+	var armedSeen, idleSeen int
+	var check sim.ArgHandler
+	check = func(uint64) {
+		for id := uint64(0); id < fx.sys.acqCarved; id++ {
+			acq := fx.sys.acqAt(id)
+			if armed(acq.tauADV) != acq.tauADV.Active() || armed(acq.tauDAT) != acq.tauDAT.Active() {
+				t.Fatalf("t=%v acquisition %d: τADV armed=%v Active=%v, τDAT armed=%v Active=%v",
+					fx.sched.Now(), id, armed(acq.tauADV), acq.tauADV.Active(),
+					armed(acq.tauDAT), acq.tauDAT.Active())
+			}
+			if armed(acq.tauDAT) {
+				armedSeen++
+			} else {
+				idleSeen++
+			}
+		}
+		if fx.sched.Now() < horizon {
+			fx.sched.AfterArg(100*time.Microsecond, check, 0)
+		}
+	}
+	fx.sched.AtArg(0, check, 0)
+	run(t, fx, horizon)
+	if armedSeen == 0 || idleSeen == 0 || fx.nw.Counters().Timeouts == 0 {
+		t.Fatalf("run never exercised the timers: armed %d, idle %d, timeouts %d",
+			armedSeen, idleSeen, fx.nw.Counters().Timeouts)
 	}
 }

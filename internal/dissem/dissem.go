@@ -8,6 +8,7 @@ package dissem
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/metrics"
@@ -31,13 +32,6 @@ type Protocol interface {
 	Originate(src packet.NodeID, d packet.DataID) error
 }
 
-// itemInfo is one registered data item: its origination time and its dense
-// index in registration order.
-type itemInfo struct {
-	at  time.Duration
-	idx int32
-}
-
 // Ledger tracks data lifecycles across the network for one simulation run.
 // It is shared by all node instances of a protocol system.
 //
@@ -48,84 +42,136 @@ type itemInfo struct {
 // probing dominates the profile. For the same reason the delivered set is
 // one node-id bitset per item rather than a map of 24-byte composite keys:
 // smaller by two orders of magnitude and a single indexed load to test.
+//
+// Index runs once per handler call, so it resolves a DataID through an
+// open-addressing table on DataID.Key() rather than a Go map: power-of-two
+// size, Fibonacci hashing, linear probing, at most half full. The table
+// grows with the number of originated items, never with node ids.
 type Ledger struct {
-	items     map[uint64]itemInfo // DataID.Key() -> registration info
-	delivered [][]uint64          // per item index: bitset over node ids
-	count     int                 // distinct (node, item) deliveries
+	table     []itemSlot      // open-addressing table; see itemSlot
+	shift     uint            // 64 − log2(len(table)): the hash keeps the top bits
+	born      []time.Duration // per item index: origination time
+	delivered [][]uint64      // per item index: bitset over node ids
+	count     int             // distinct (node, item) deliveries
 	delays    *metrics.DelayStats
 }
 
+// itemSlot is one table slot: a DataID.Key() and its item index plus one,
+// so the zero slot is empty.
+type itemSlot struct {
+	key uint64
+	idx int32
+}
+
+// fibonacci is 2⁶⁴/φ, the multiplier of Fibonacci hashing: it spreads the
+// packed (origin, seq) keys over the top bits of the product.
+const fibonacci = 0x9e3779b97f4a7c15
+
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		items:  make(map[uint64]itemInfo),
-		delays: metrics.NewDelayStats(),
-	}
+	return &Ledger{delays: metrics.NewDelayStats()}
 }
+
+// home returns key's first probe position.
+func (l *Ledger) home(key uint64) int { return int((key * fibonacci) >> l.shift) }
 
 // Originate records that d was advertised by its origin at time now.
 // Re-originating the same DataID is an error: metadata names must be unique.
 func (l *Ledger) Originate(d packet.DataID, now time.Duration) error {
-	if _, dup := l.items[d.Key()]; dup {
+	if l.Index(d) >= 0 {
 		return fmt.Errorf("dissem: data %v originated twice", d)
 	}
-	l.items[d.Key()] = itemInfo{at: now, idx: int32(len(l.delivered))}
+	if 2*(len(l.born)+1) > len(l.table) {
+		l.grow()
+	}
+	l.insert(itemSlot{key: d.Key(), idx: int32(len(l.born)) + 1})
+	l.born = append(l.born, now)
 	l.delivered = append(l.delivered, nil)
 	return nil
+}
+
+// grow doubles the table (16 slots at first) and reinserts every item.
+func (l *Ledger) grow() {
+	old := l.table
+	l.table = make([]itemSlot, max(2*len(old), 16))
+	l.shift = uint(64 - bits.TrailingZeros(uint(len(l.table))))
+	for _, s := range old {
+		if s.idx != 0 {
+			l.insert(s)
+		}
+	}
+}
+
+// insert places s in the first empty slot from its home position on.
+func (l *Ledger) insert(s itemSlot) {
+	mask := len(l.table) - 1
+	i := l.home(s.key)
+	for l.table[i].idx != 0 {
+		i = (i + 1) & mask
+	}
+	l.table[i] = s
 }
 
 // Index returns d's dense registration index (assigned in origination
 // order, starting at 0), or -1 when d was never originated. Protocols key
 // their per-item state slices on it.
 func (l *Ledger) Index(d packet.DataID) int {
-	info, ok := l.items[d.Key()]
-	if !ok {
+	if len(l.table) == 0 {
 		return -1
 	}
-	return int(info.idx)
+	key, mask := d.Key(), len(l.table)-1
+	for i := l.home(key); ; i = (i + 1) & mask {
+		// An empty slot (idx 0) ends the probe with -1.
+		if s := l.table[i]; s.idx == 0 || s.key == key {
+			return int(s.idx) - 1
+		}
+	}
 }
 
 // BornAt returns when d was originated.
 func (l *Ledger) BornAt(d packet.DataID) (time.Duration, bool) {
-	info, ok := l.items[d.Key()]
-	return info.at, ok
+	it := l.Index(d)
+	if it < 0 {
+		return 0, false
+	}
+	return l.born[it], true
 }
 
 // Originated returns how many data items have been introduced.
-func (l *Ledger) Originated() int { return len(l.items) }
+func (l *Ledger) Originated() int { return len(l.born) }
 
 // RecordDelivery marks d as delivered to node at time now, recording the
 // end-to-end delay sample. It reports false (and records nothing) for a
 // duplicate delivery or for data that was never originated.
 func (l *Ledger) RecordDelivery(node packet.NodeID, d packet.DataID, now time.Duration) bool {
-	info, ok := l.items[d.Key()]
-	if !ok {
+	it := l.Index(d)
+	if it < 0 {
 		return false
 	}
-	bs := l.delivered[info.idx]
+	bs := l.delivered[it]
 	w, bit := int(node)>>6, uint64(1)<<(uint(node)&63)
 	if w >= len(bs) {
 		nbs := make([]uint64, w+1)
 		copy(nbs, bs)
 		bs = nbs
-		l.delivered[info.idx] = bs
+		l.delivered[it] = bs
 	}
 	if bs[w]&bit != 0 {
 		return false
 	}
 	bs[w] |= bit
 	l.count++
-	l.delays.Record(now - info.at)
+	l.delays.Record(now - l.born[it])
 	return true
 }
 
 // WasDelivered reports whether node already received d.
 func (l *Ledger) WasDelivered(node packet.NodeID, d packet.DataID) bool {
-	info, ok := l.items[d.Key()]
-	if !ok {
+	it := l.Index(d)
+	if it < 0 {
 		return false
 	}
-	bs := l.delivered[info.idx]
+	bs := l.delivered[it]
 	w := int(node) >> 6
 	return w < len(bs) && bs[w]&(1<<(uint(node)&63)) != 0
 }

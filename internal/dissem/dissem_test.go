@@ -1,6 +1,8 @@
 package dissem
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -103,5 +105,193 @@ func TestLedgerMultipleItems(t *testing.T) {
 	}
 	if got := l.Delays().Mean(); got != 2*time.Millisecond {
 		t.Fatalf("mean delay=%v, want 2ms", got)
+	}
+}
+
+// TestLedgerItemTable covers the item table's lookups on a fixed set of
+// ids: dense indices in origination order, never-originated ids (including
+// ones that share an origin or a seq with an originated id), negative
+// origins and seqs, and the duplicate-Originate error text.
+func TestLedgerItemTable(t *testing.T) {
+	l := NewLedger()
+	originated := []packet.DataID{
+		{Origin: 0, Seq: 0},
+		{Origin: 0, Seq: 1},
+		{Origin: 1, Seq: 0},
+		{Origin: -1, Seq: 0},
+		{Origin: 0, Seq: -1},
+		{Origin: -7, Seq: -3},
+		{Origin: 99999, Seq: 12},
+	}
+	for i, d := range originated {
+		if err := l.Originate(d, time.Duration(i)*time.Millisecond); err != nil {
+			t.Fatalf("Originate(%v): %v", d, err)
+		}
+	}
+	for _, tc := range []struct {
+		d    packet.DataID
+		want int
+	}{
+		{packet.DataID{Origin: 0, Seq: 0}, 0},
+		{packet.DataID{Origin: 0, Seq: 1}, 1},
+		{packet.DataID{Origin: 1, Seq: 0}, 2},
+		{packet.DataID{Origin: -1, Seq: 0}, 3},
+		{packet.DataID{Origin: 0, Seq: -1}, 4},
+		{packet.DataID{Origin: -7, Seq: -3}, 5},
+		{packet.DataID{Origin: 99999, Seq: 12}, 6},
+		{packet.DataID{Origin: 1, Seq: 1}, -1},
+		{packet.DataID{Origin: 0, Seq: 2}, -1},
+		{packet.DataID{Origin: -1, Seq: -1}, -1},
+		{packet.DataID{Origin: 99999, Seq: 0}, -1},
+		{packet.DataID{Origin: 2, Seq: 0}, -1},
+	} {
+		if got := l.Index(tc.d); got != tc.want {
+			t.Errorf("Index(%v) = %d, want %d", tc.d, got, tc.want)
+		}
+		at, ok := l.BornAt(tc.d)
+		if wantAt := time.Duration(tc.want) * time.Millisecond; ok != (tc.want >= 0) || (ok && at != wantAt) {
+			t.Errorf("BornAt(%v) = (%v, %v), want (%v, %v)", tc.d, at, ok, wantAt, tc.want >= 0)
+		}
+		if tc.want < 0 && l.RecordDelivery(3, tc.d, time.Second) {
+			t.Errorf("RecordDelivery(%v) accepted a never-originated id", tc.d)
+		}
+	}
+	if l.Originated() != len(originated) {
+		t.Fatalf("Originated = %d, want %d", l.Originated(), len(originated))
+	}
+	d := packet.DataID{Origin: -7, Seq: -3}
+	err := l.Originate(d, time.Second)
+	if err == nil || err.Error() != "dissem: data d-7.-3 originated twice" {
+		t.Fatalf("duplicate Originate: %v, want %q", err, "dissem: data d-7.-3 originated twice")
+	}
+	if l.Originated() != len(originated) || l.Index(d) != 5 {
+		t.Fatal("a rejected Originate changed the ledger")
+	}
+	if !l.RecordDelivery(200, d, 10*time.Millisecond) || l.RecordDelivery(200, d, time.Second) {
+		t.Fatal("RecordDelivery: want true for the first delivery, false for the duplicate")
+	}
+	if !l.WasDelivered(200, d) || l.WasDelivered(201, d) || l.WasDelivered(200, originated[0]) {
+		t.Fatal("WasDelivered disagrees with the one recorded delivery")
+	}
+	if got := l.Delays().Mean(); got != 5*time.Millisecond {
+		t.Fatalf("delay = %v, want 5ms (born at 5ms)", got)
+	}
+}
+
+// TestLedgerMatchesMapReference drives the ledger and a map-based reference
+// with the same random operations over more than 10⁴ distinct ids — enough
+// to grow the item table through eleven doublings — and requires every answer
+// to agree. Ids mix negative and positive origins and seqs, and lookups
+// mostly name ids that were never originated.
+func TestLedgerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomID := func() packet.DataID {
+		return packet.DataID{
+			Origin: packet.NodeID(rng.Intn(4001) - 2000),
+			Seq:    rng.Intn(41) - 20,
+		}
+	}
+	type pair struct {
+		node packet.NodeID
+		it   int
+	}
+	var (
+		l         = NewLedger()
+		index     = make(map[packet.DataID]int)
+		ids       []packet.DataID // by item index
+		born      []time.Duration
+		delivered = make(map[pair]bool)
+		now       time.Duration
+	)
+	for len(born) < 12000 {
+		now += time.Microsecond
+		d := randomID()
+		switch op := rng.Intn(4); {
+		case op < 2:
+			err := l.Originate(d, now)
+			if _, dup := index[d]; dup {
+				if err == nil || err.Error() != fmt.Sprintf("dissem: data %v originated twice", d) {
+					t.Fatalf("duplicate Originate(%v): err = %v", d, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("Originate(%v): %v", d, err)
+			}
+			index[d] = len(born)
+			ids = append(ids, d)
+			born = append(born, now)
+		case op == 2:
+			node := packet.NodeID(rng.Intn(300))
+			it, ok := index[d]
+			want := ok && !delivered[pair{node, it}]
+			if got := l.RecordDelivery(node, d, now); got != want {
+				t.Fatalf("RecordDelivery(%d, %v) = %v, want %v", node, d, got, want)
+			}
+			if want {
+				delivered[pair{node, it}] = true
+			}
+		default:
+			node := packet.NodeID(rng.Intn(300))
+			it, ok := index[d]
+			if !ok {
+				it = -1
+			}
+			if got := l.Index(d); got != it {
+				t.Fatalf("Index(%v) = %d, want %d", d, got, it)
+			}
+			at, gotOK := l.BornAt(d)
+			if gotOK != ok || (ok && at != born[it]) {
+				t.Fatalf("BornAt(%v) = (%v, %v), want (%v, %v)", d, at, gotOK, born[max(it, 0)], ok)
+			}
+			if got, want := l.WasDelivered(node, d), ok && delivered[pair{node, it}]; got != want {
+				t.Fatalf("WasDelivered(%d, %v) = %v, want %v", node, d, got, want)
+			}
+		}
+		if l.Originated() != len(born) {
+			t.Fatalf("Originated = %d, want %d", l.Originated(), len(born))
+		}
+	}
+	// A final sweep: every originated id resolves to its own index.
+	for it, d := range ids {
+		if got := l.Index(d); got != it {
+			t.Fatalf("Index(%v) = %d, want %d", d, got, it)
+		}
+	}
+	if l.Deliveries() != len(delivered) {
+		t.Fatalf("Deliveries = %d, want %d", l.Deliveries(), len(delivered))
+	}
+}
+
+// TestLedgerProbeWrapsAround originates three ids whose probe starts at the
+// last slot of the first (16-slot) table: the second and third wrap to the
+// front, and every lookup — including one for a never-originated id with
+// the same start — follows them there.
+func TestLedgerProbeWrapsAround(t *testing.T) {
+	l := NewLedger()
+	l.grow() // the table the first Originate would make
+	last := len(l.table) - 1
+	var ids []packet.DataID
+	for seq := 0; len(ids) < 4; seq++ {
+		if d := (packet.DataID{Origin: 5, Seq: seq}); l.home(d.Key()) == last {
+			ids = append(ids, d)
+		}
+	}
+	for _, d := range ids[:3] {
+		if err := l.Originate(d, 0); err != nil {
+			t.Fatalf("Originate(%v): %v", d, err)
+		}
+	}
+	if len(l.table) != last+1 || l.table[0].idx == 0 || l.table[1].idx == 0 {
+		t.Fatalf("table of %d slots, slots 0 and 1 hold %d and %d; want 16 slots, both occupied",
+			len(l.table), l.table[0].idx, l.table[1].idx)
+	}
+	for i, d := range ids[:3] {
+		if got := l.Index(d); got != i {
+			t.Fatalf("Index(%v) = %d, want %d", d, got, i)
+		}
+	}
+	if got := l.Index(ids[3]); got != -1 {
+		t.Fatalf("Index(%v) = %d for a never-originated id, want -1", ids[3], got)
 	}
 }

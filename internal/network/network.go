@@ -128,9 +128,10 @@ type Network struct {
 
 	// rxq is the receiver FIFO shared by every transmission: onComplete
 	// appends the receivers it reached alive, then packet.None, and each
-	// delivery batch consumes one such run from rxHead. Batch events fire
-	// in the order they were scheduled (see SetProcessingDelay), so the
-	// runs are consumed in the order they were appended.
+	// delivery batch consumes one such run from rxHead. Batch events wait
+	// in the scheduler's FIFO and fire in the order they were scheduled
+	// (see SetProcessingDelay), so the runs are consumed in the order they
+	// were appended.
 	rxq    []packet.NodeID
 	rxHead int
 
@@ -195,8 +196,10 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 //
 // proc is fixed before traffic starts: it panics once a transmission has
 // been scheduled. Completions fire in time order and each schedules its
-// batch at completion+proc, so with one proc the batch events fire in the
-// order they were scheduled — the order the receiver FIFO relies on.
+// batch at completion+proc, so with one proc the batch times never
+// decrease: the batches go to the scheduler's FIFO (sim.Scheduler.AtFIFO)
+// instead of its heap, and fire in the order they were scheduled — the
+// order the receiver FIFO relies on.
 //
 // Protocol constructors call this with their processing delay.
 func (nw *Network) SetProcessingDelay(proc time.Duration) {
@@ -345,8 +348,9 @@ func (nw *Network) Send(p packet.Packet) {
 
 // onComplete finishes the transmission in arena slot arg: verifies the
 // sender survived the airtime, charges energies, and delivers to the
-// recipient set, whose handlers then run in one batched event at +proc.
-// The packet is read in place: nothing here can grow the arena.
+// recipient set, whose handlers then run in one batched event at +proc,
+// queued on the scheduler's FIFO. The packet is read in place: nothing
+// here can grow the arena.
 func (nw *Network) onComplete(arg uint64) {
 	p := &nw.flights[arg]
 	if !nw.alive[p.Src] {
@@ -378,7 +382,7 @@ func (nw *Network) onComplete(arg uint64) {
 	}
 	if len(nw.rxq) > start {
 		nw.rxq = append(nw.rxq, packet.None)
-		nw.sched.AtArg(nw.sched.Now()+nw.proc, nw.deliverFn, arg)
+		nw.sched.AtFIFO(nw.sched.Now()+nw.proc, nw.deliverFn, arg)
 		return
 	}
 	nw.freeFlight(arg)

@@ -109,12 +109,12 @@ type DataID struct {
 // String formats the metadata descriptor.
 func (d DataID) String() string { return fmt.Sprintf("d%d.%d", d.Origin, d.Seq) }
 
-// Key packs the DataID into a single word for use as a map key. Go's map
-// implementation has a fast path for 8-byte keys that the 16-byte struct
-// key misses, and the protocols key their per-item state maps on every
-// packet — worth a dedicated representation. Origin is a dense field index
-// and Seq a per-origin counter, both non-negative and far below 2³², so
-// the packing is collision-free.
+// Key packs the DataID into a single word: the key of the ledger's item
+// table (dissem.Ledger.Index, resolved on every packet) and of the cold
+// per-node maps, where Go's map has a fast path for 8-byte keys that the
+// 16-byte struct key misses. Origin is a dense field index and Seq a
+// per-origin counter, both non-negative and far below 2³², so the packing
+// is collision-free.
 func (d DataID) Key() uint64 { return uint64(uint32(d.Origin))<<32 | uint64(uint32(d.Seq)) }
 
 // Packet is one on-air frame. Src and Dst are the immediate-hop addresses

@@ -2,8 +2,8 @@ package sim
 
 // Tests for the argument-carrying event path (AtArg/AfterArg), the
 // kernel's one way to schedule: ordering across handlers, argument
-// fidelity, Timer cancellation, and the allocation-free guarantee that
-// motivates the whole mechanism.
+// fidelity and Timer cancellation. The allocation-free guarantee that
+// motivates the mechanism is TestSchedulerSteadyStateAllocFree's.
 
 import (
 	"testing"
@@ -101,33 +101,4 @@ func TestAtArgSlotReuseClearsHandler(t *testing.T) {
 	if len(firstArgs) != 1 || firstArgs[0] != 1 || len(secondArgs) != 1 || secondArgs[0] != 2 {
 		t.Fatalf("first handler got %v, second %v; want [1] and [2]", firstArgs, secondArgs)
 	}
-}
-
-// TestAtArgSteadyStateAllocFree is the argument-carrying counterpart of
-// TestSchedulerSteadyStateAllocFree: a pre-bound handler plus a varying
-// uint64 argument must schedule and dispatch with zero heap allocations,
-// because that pair is exactly what every timer and network event uses in
-// place of a per-event closure.
-func TestAtArgSteadyStateAllocFree(t *testing.T) {
-	s := NewScheduler()
-	var sink uint64
-	h := ArgHandler(func(arg uint64) { sink += arg })
-	for i := 0; i < 1024; i++ {
-		s.AfterArg(time.Microsecond, h, uint64(i))
-	}
-	if err := s.RunUntilIdle(0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 512; i++ {
-			s.AfterArg(time.Microsecond, h, uint64(i))
-		}
-		if err := s.RunUntilIdle(0); err != nil {
-			t.Error(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state arg-event cycle allocated %.1f times, want 0", allocs)
-	}
-	_ = sink
 }

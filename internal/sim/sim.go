@@ -7,11 +7,14 @@
 // the order they were scheduled, which — combined with a seeded RNG — makes
 // every run bit-for-bit reproducible.
 //
-// Internally the pending set is a 4-ary min-heap of indices into a pooled
-// event arena: scheduling reuses arena slots through a free list, so the
-// steady-state hot path (schedule → dispatch → recycle) performs no heap
-// allocation. A Scheduler is single-threaded by design (see DESIGN.md §5.1);
-// parallelism lives above the kernel, one Scheduler per goroutine.
+// Internally every pending event lives in a pooled event arena and is
+// ordered by one of two structures: a 4-ary min-heap of arena indices, or a
+// FIFO for the one caller whose times never decrease (AtFIFO), whose events
+// are already in dispatch order. Scheduling reuses arena slots through a
+// free list, so the steady-state hot path (schedule → dispatch → recycle)
+// performs no heap allocation. A Scheduler is single-threaded by design
+// (see DESIGN.md §5.1); parallelism lives above the kernel, one Scheduler
+// per goroutine.
 package sim
 
 import (
@@ -38,7 +41,8 @@ type ArgHandler func(arg uint64)
 // event's identity — unique over the scheduler's whole lifetime — so a
 // Timer holding the seq it was issued under can never alias the slot's
 // next occupant, even after arbitrarily many reuses. pos is the slot's
-// current position in the heap, -1 while free.
+// current position in the heap, -1 while free or queued in the FIFO (FIFO
+// events have no Timer, so nothing reads it there).
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -87,9 +91,9 @@ func (t Timer) Active() bool { return t.live() }
 // At returns the virtual time the timer is (or was) scheduled to fire.
 func (t Timer) At() time.Duration { return t.at }
 
-// heapEntry is one pending-heap element. It carries the full sort key
-// (at, seq) inline next to the arena index, so sift comparisons read the
-// contiguous heap slice instead of dereferencing scattered arena slots —
+// heapEntry is one pending-heap (or FIFO) element. It carries the full sort
+// key (at, seq) inline next to the arena index, so sift comparisons read
+// the contiguous heap slice instead of dereferencing scattered arena slots —
 // the approach of cache-friendly priority queues. The order is identical
 // to comparing through the arena, so dispatch order (and therefore all
 // simulation output) is unchanged.
@@ -110,12 +114,19 @@ type Scheduler struct {
 	heap    []heapEntry // 4-ary min-heap ordered by (at, seq)
 	stopped bool
 
+	// fifo[fifoHead:] holds the pending AtFIFO events in scheduling order,
+	// which is (at, seq) order because their times never decrease. The
+	// consumed prefix is reset when the FIFO drains and slid down once it
+	// outgrows the pending entries.
+	fifo     []heapEntry
+	fifoHead int
+
 	// dispatched counts events that have fired, for observability and as a
 	// runaway guard in tests.
 	dispatched uint64
-	// maxHeap is the largest pending-set size seen, for observability
-	// (obs.RunStats.PeakHeapDepth). One compare per push; never read on the
-	// hot path.
+	// maxHeap is the largest pending-set size seen, heap and FIFO together,
+	// for observability (obs.RunStats.PeakHeapDepth). One compare per
+	// schedule; never read on the hot path.
 	maxHeap int
 }
 
@@ -127,15 +138,16 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Len returns the number of pending events in O(1). Canceled events are
-// removed from the heap eagerly, so the heap length is the live count.
-func (s *Scheduler) Len() int { return len(s.heap) }
+// Len returns the number of pending events, heap and FIFO together, in
+// O(1). Canceled events are removed from the heap eagerly, so the lengths
+// are the live count.
+func (s *Scheduler) Len() int { return len(s.heap) + len(s.fifo) - s.fifoHead }
 
 // Dispatched returns the total number of events that have fired.
 func (s *Scheduler) Dispatched() uint64 { return s.dispatched }
 
 // PeakHeapDepth returns the largest number of simultaneously pending
-// events over the scheduler's lifetime.
+// events over the scheduler's lifetime, FIFO events included.
 func (s *Scheduler) PeakHeapDepth() int { return s.maxHeap }
 
 // ArenaSize returns the number of event arena slots ever allocated — the
@@ -175,14 +187,19 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// notePeak raises the pending-set peak after a schedule.
+func (s *Scheduler) notePeak() {
+	if n := s.Len(); n > s.maxHeap {
+		s.maxHeap = n
+	}
+}
+
 // heapPush appends the slot and sifts it up.
 func (s *Scheduler) heapPush(idx int32) {
 	ev := &s.arena[idx]
 	ev.pos = int32(len(s.heap))
 	s.heap = append(s.heap, heapEntry{at: ev.at, seq: ev.seq, idx: idx})
-	if len(s.heap) > s.maxHeap {
-		s.maxHeap = len(s.heap)
-	}
+	s.notePeak()
 	s.siftUp(len(s.heap) - 1)
 }
 
@@ -247,17 +264,16 @@ func (s *Scheduler) siftDown(i int) {
 	s.arena[e.idx].pos = int32(i)
 }
 
-// AtArg schedules fn(arg) to run at the absolute virtual time at. fn is
-// typically a method value created once and reused, and arg an index into
-// caller-owned pooled state, so scheduling materializes no closure.
-// Scheduling in the past (before Now) panics: it is always a model bug,
-// and silently clamping would mask causality violations.
-func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
+// newEvent checks a schedule request and stores it in a fresh arena slot
+// under the next seq. Scheduling in the past (before Now) panics: it is
+// always a model bug, and silently clamping would mask causality
+// violations.
+func (s *Scheduler) newEvent(op string, at time.Duration, fn ArgHandler, arg uint64) int32 {
 	if fn == nil {
-		panic("sim: Scheduler.AtArg: nil handler")
+		panic("sim: Scheduler." + op + ": nil handler")
 	}
 	if at < s.now {
-		panic(fmt.Sprintf("sim: Scheduler.AtArg: scheduling at %v before now %v", at, s.now))
+		panic(fmt.Sprintf("sim: Scheduler.%s: scheduling at %v before now %v", op, at, s.now))
 	}
 	idx := s.alloc()
 	ev := &s.arena[idx]
@@ -266,8 +282,36 @@ func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
 	ev.fn = fn
 	ev.arg = arg
 	s.seq++
+	return idx
+}
+
+// AtArg schedules fn(arg) to run at the absolute virtual time at. fn is
+// typically a method value created once and reused, and arg an index into
+// caller-owned pooled state, so scheduling materializes no closure.
+func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
+	idx := s.newEvent("AtArg", at, fn, arg)
 	s.heapPush(idx)
-	return Timer{s: s, idx: idx, seq: ev.seq, at: at}
+	return Timer{s: s, idx: idx, seq: s.arena[idx].seq, at: at}
+}
+
+// AtFIFO schedules fn(arg) at the absolute virtual time at, for a caller
+// whose times never decrease: the event is appended to the FIFO instead of
+// sifted into the heap. Appending keeps the FIFO in (at, seq) order, and
+// dispatch takes the earlier of the FIFO head and the heap root, so the
+// dispatch order is exactly the one AtArg would give. The event takes an
+// arena slot and counts in Len and PeakHeapDepth like a heap event, but it
+// returns no Timer and cannot be canceled. All AtFIFO callers of one
+// scheduler share the FIFO, so their times together must never decrease:
+// a time before the previous AtFIFO event's panics, as do a nil handler
+// and a time before Now.
+func (s *Scheduler) AtFIFO(at time.Duration, fn ArgHandler, arg uint64) {
+	if n := len(s.fifo); n > 0 && at < s.fifo[n-1].at {
+		panic(fmt.Sprintf("sim: Scheduler.AtFIFO: time %v before the previous FIFO event's %v",
+			at, s.fifo[n-1].at))
+	}
+	idx := s.newEvent("AtFIFO", at, fn, arg)
+	s.fifo = append(s.fifo, heapEntry{at: at, seq: s.arena[idx].seq, idx: idx})
+	s.notePeak()
 }
 
 // AfterArg schedules fn(arg) to run d after the current virtual time. A
@@ -280,15 +324,30 @@ func (s *Scheduler) AfterArg(d time.Duration, fn ArgHandler, arg uint64) Timer {
 // in-flight handler (if any) completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// step pops and dispatches the earliest pending event. It reports whether an
-// event fired. The slot is recycled before the handler runs, so a handler
-// that schedules may reuse it; the Timer seq check keeps old handles inert.
+// step pops and dispatches the earliest pending event: the FIFO head or the
+// heap root, whichever is first by (at, seq). It reports whether an event
+// fired. The slot is recycled before the handler runs, so a handler that
+// schedules may reuse it; the Timer seq check keeps old handles inert.
 func (s *Scheduler) step() bool {
-	if len(s.heap) == 0 {
+	var idx int32
+	switch {
+	case s.fifoHead < len(s.fifo) && (len(s.heap) == 0 || entryLess(s.fifo[s.fifoHead], s.heap[0])):
+		idx = s.fifo[s.fifoHead].idx
+		s.fifoHead++
+		if s.fifoHead == len(s.fifo) {
+			s.fifo = s.fifo[:0]
+			s.fifoHead = 0
+		} else if 2*s.fifoHead >= len(s.fifo) {
+			n := copy(s.fifo, s.fifo[s.fifoHead:])
+			s.fifo = s.fifo[:n]
+			s.fifoHead = 0
+		}
+	case len(s.heap) > 0:
+		idx = s.heap[0].idx
+		s.heapRemove(0)
+	default:
 		return false
 	}
-	idx := s.heap[0].idx
-	s.heapRemove(0)
 	ev := &s.arena[idx]
 	at, fn, arg := ev.at, ev.fn, ev.arg
 	s.release(idx)
@@ -339,9 +398,16 @@ func (s *Scheduler) RunUntilIdle(maxEvents uint64) error {
 	}
 }
 
-// peek returns the timestamp of the earliest pending event. Cancellation is
-// eager, so the root is always live.
+// peek returns the timestamp of the earliest pending event, heap or FIFO.
+// Cancellation is eager, so the heap root is always live.
 func (s *Scheduler) peek() (time.Duration, bool) {
+	if s.fifoHead < len(s.fifo) {
+		at := s.fifo[s.fifoHead].at
+		if len(s.heap) > 0 && s.heap[0].at < at {
+			at = s.heap[0].at
+		}
+		return at, true
+	}
 	if len(s.heap) == 0 {
 		return 0, false
 	}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -258,34 +260,100 @@ func TestDispatchedCounter(t *testing.T) {
 	}
 }
 
-// TestSchedulerOrderProperty checks, for arbitrary schedules, that handlers
-// observe a non-decreasing clock and that every non-canceled event fires
-// exactly once.
+// TestSchedulerOrderProperty drives the scheduler with random interleavings
+// of AtArg, AtFIFO, Cancel and partial Runs and compares it with a reference
+// model: every event fires exactly once unless a Cancel removed it first,
+// the dispatch order is the (at, seq) order of all events that fire, Cancel
+// succeeds exactly on pending heap events, and Len and PeakHeapDepth count
+// heap and FIFO events alike.
 func TestSchedulerOrderProperty(t *testing.T) {
-	prop := func(offsets []uint16) bool {
-		if len(offsets) > 256 {
-			offsets = offsets[:256]
+	for trial := int64(0); trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		ops := make([]uint32, rng.Intn(400))
+		for i := range ops {
+			ops[i] = rng.Uint32()
 		}
-		s := NewScheduler()
-		var last time.Duration
-		ordered := true
-		fired := 0
-		for _, off := range offsets {
-			s.AtArg(time.Duration(off)*time.Microsecond, func(uint64) {
-				if s.Now() < last {
-					ordered = false
-				}
-				last = s.Now()
-				fired++
-			}, 0)
-		}
-		if err := s.RunUntilIdle(0); err != nil {
-			return false
-		}
-		return ordered && fired == len(offsets)
+		checkAgainstReference(t, trial, ops)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// checkAgainstReference runs one op sequence: the low two bits of an op
+// pick AtArg, AtFIFO, Cancel or Run, the rest its time offset or target.
+func checkAgainstReference(t *testing.T, trial int64, ops []uint32) {
+	t.Helper()
+	s := NewScheduler()
+	type ref struct {
+		at      time.Duration
+		timer   Timer
+		fifo    bool
+		fired   bool
+		removed bool // canceled before firing
+	}
+	var (
+		evs    []*ref // by scheduling order, which is seq order
+		got    []int
+		fifoAt time.Duration
+		peak   int
+	)
+	record := ArgHandler(func(arg uint64) {
+		if n := len(got); n > 0 && s.Now() < evs[got[n-1]].at {
+			t.Fatalf("trial %d: clock went back to %v", trial, s.Now())
+		}
+		evs[arg].fired = true
+		got = append(got, int(arg))
+	})
+	for i, op := range ops {
+		v := time.Duration(op >> 2)
+		switch op & 3 {
+		case 0:
+			e := &ref{at: s.Now() + v%64*time.Microsecond}
+			evs = append(evs, e)
+			e.timer = s.AtArg(e.at, record, uint64(len(evs)-1))
+		case 1:
+			fifoAt = max(fifoAt, s.Now()) + v%8*time.Microsecond
+			evs = append(evs, &ref{at: fifoAt, fifo: true})
+			s.AtFIFO(fifoAt, record, uint64(len(evs)-1))
+		case 2:
+			if len(evs) == 0 {
+				continue
+			}
+			e := evs[int(v)%len(evs)]
+			want := !e.fifo && !e.fired && !e.removed
+			if e.timer.Cancel() != want {
+				t.Fatalf("trial %d op %d: Cancel = %v, want %v", trial, i, !want, want)
+			}
+			e.removed = e.removed || want
+		case 3:
+			if err := s.Run(s.Now() + v%32*time.Microsecond); err != nil {
+				t.Fatalf("trial %d op %d: Run: %v", trial, i, err)
+			}
+		}
+		pending := 0
+		for _, e := range evs {
+			if !e.fired && !e.removed {
+				pending++
+			}
+		}
+		if s.Len() != pending {
+			t.Fatalf("trial %d op %d: Len = %d, want %d", trial, i, s.Len(), pending)
+		}
+		peak = max(peak, pending)
+	}
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatalf("trial %d: RunUntilIdle: %v", trial, err)
+	}
+	var want []int
+	for id, e := range evs {
+		if !e.removed {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return evs[want[i]].at < evs[want[j]].at })
+	if !slices.Equal(got, want) {
+		t.Fatalf("trial %d: dispatch order %v, want %v", trial, got, want)
+	}
+	if s.Len() != 0 || s.PeakHeapDepth() != peak {
+		t.Fatalf("trial %d: Len %d, PeakHeapDepth %d; want 0, %d", trial, s.Len(), s.PeakHeapDepth(), peak)
 	}
 }
 
@@ -339,27 +407,52 @@ func TestSchedulerCancelIsEager(t *testing.T) {
 
 // TestSchedulerSteadyStateAllocFree asserts the schedule→dispatch hot path
 // performs no heap allocation once the arena is warm — the regression guard
-// behind the kernel's pooled-arena design (CI runs it explicitly).
+// behind the kernel's pooled-arena design (CI runs it explicitly). Each case
+// is one way production code schedules: a pre-bound handler with a constant
+// or a varying uint64 argument (timers, transmissions), AtFIFO (delivery
+// batches), and heap and FIFO events due at one instant.
 func TestSchedulerSteadyStateAllocFree(t *testing.T) {
-	s := NewScheduler()
-	fn := ArgHandler(func(uint64) {})
-	// Warm the arena, free list, and heap slice past the working set.
-	for i := 0; i < 1024; i++ {
-		s.AfterArg(time.Microsecond, fn, 0)
-	}
-	if err := s.RunUntilIdle(0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 512; i++ {
-			s.AfterArg(time.Microsecond, fn, 0)
-		}
-		if err := s.RunUntilIdle(0); err != nil {
-			t.Error(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule→dispatch cycle allocated %.1f times, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		schedule func(s *Scheduler, h ArgHandler, i int)
+	}{
+		{"constant arg", func(s *Scheduler, h ArgHandler, i int) {
+			s.AfterArg(time.Microsecond, h, 0)
+		}},
+		{"varying arg", func(s *Scheduler, h ArgHandler, i int) {
+			s.AfterArg(time.Microsecond, h, uint64(i))
+		}},
+		{"AtFIFO", func(s *Scheduler, h ArgHandler, i int) {
+			s.AtFIFO(s.Now()+time.Microsecond, h, uint64(i))
+		}},
+		{"heap and FIFO mixed at one instant", func(s *Scheduler, h ArgHandler, i int) {
+			if i%2 == 0 {
+				s.AfterArg(time.Microsecond, h, uint64(i))
+			} else {
+				s.AtFIFO(s.Now()+time.Microsecond, h, uint64(i))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler()
+			var sink uint64
+			h := ArgHandler(func(arg uint64) { sink += arg })
+			cycle := func(n int) {
+				for i := 0; i < n; i++ {
+					tc.schedule(s, h, i)
+				}
+				if err := s.RunUntilIdle(0); err != nil {
+					t.Error(err)
+				}
+			}
+			// Warm the arena, free list, heap and FIFO slices past the
+			// working set.
+			cycle(1024)
+			if allocs := testing.AllocsPerRun(100, func() { cycle(512) }); allocs != 0 {
+				t.Fatalf("steady-state schedule→dispatch cycle allocated %.1f times, want 0", allocs)
+			}
+			_ = sink
+		})
 	}
 }
 

@@ -132,7 +132,9 @@ func (s *System) Originate(src packet.NodeID, d packet.DataID) error {
 // node is one SPIN protocol instance. Per-item state lives in flat slices
 // indexed by the ledger's dense item index (dissem.Ledger.Index), resolved
 // once per packet — see the matching layout in internal/core. The zero
-// sim.Timer is inert, so the pending slice needs no occupancy flag.
+// sim.Timer is inert, and both ends of a pending window — expiry and DATA —
+// zero the handle, so a non-zero pending[it] is itself the "request
+// outstanding" state: no occupancy flag, and no scheduler read per ADV.
 type node struct {
 	sys        *System
 	id         packet.NodeID
@@ -195,7 +197,7 @@ func (n *node) onADV(p packet.Packet, it int) {
 	if n.hasItem(it) || !n.sys.interest(n.id, d) {
 		return
 	}
-	if it >= 0 && it < len(n.pending) && n.pending[it].Active() {
+	if it >= 0 && it < len(n.pending) && n.pending[it] != (sim.Timer{}) {
 		return // a request is already outstanding
 	}
 	n.sys.nw.Send(packet.Packet{

@@ -267,3 +267,60 @@ func TestHasPanicsOutOfRange(t *testing.T) {
 	}()
 	fx.sys.Has(99, packet.DataID{})
 }
+
+// TestPendingRequestState walks one node's pending window for an item that
+// is registered but held by nobody, so no REQ is ever answered: an ADV while
+// a request is pending sends no REQ, expiry clears the state, an ADV after
+// expiry requests again, and DATA clears it. At every step the handle the
+// node keeps agrees with the scheduler's view of it.
+func TestPendingRequestState(t *testing.T) {
+	fx := newFixture(t, 4, 20, dissem.Everyone)
+	d := packet.DataID{Origin: 0, Seq: 0}
+	if err := fx.ledger.Originate(d, 0); err != nil {
+		t.Fatalf("Originate: %v", err)
+	}
+	it := fx.ledger.Index(d)
+	n := &fx.sys.nodes[1]
+	adv := packet.Packet{Kind: packet.ADV, Meta: d, Src: 0, Dst: packet.Broadcast, Level: radio.MaxPower}
+	reqs := func() uint64 { return fx.nw.Counters().Sent[packet.REQ] }
+	pending := func(when string, want bool) sim.Timer {
+		t.Helper()
+		h := n.pending[it]
+		if got := h != (sim.Timer{}); got != want || h.Active() != want {
+			t.Fatalf("%s: pending state %v, Active %v; want %v", when, got, h.Active(), want)
+		}
+		return h
+	}
+
+	n.HandlePacket(adv)
+	if reqs() != 1 {
+		t.Fatalf("first ADV sent %d REQs, want 1", reqs())
+	}
+	first := pending("after the first ADV", true)
+	n.HandlePacket(adv)
+	if reqs() != 1 {
+		t.Fatalf("ADV while pending sent %d REQs, want still 1", reqs())
+	}
+
+	run(t, fx, first.At())
+	pending("after expiry", false)
+	if first.Active() || fx.nw.Counters().Timeouts != 1 {
+		t.Fatalf("expired handle Active %v, timeouts %d; want false, 1", first.Active(), fx.nw.Counters().Timeouts)
+	}
+
+	n.HandlePacket(adv)
+	if reqs() != 2 {
+		t.Fatalf("ADV after expiry sent %d REQs in all, want 2", reqs())
+	}
+	second := pending("after the ADV past expiry", true)
+
+	n.HandlePacket(packet.Packet{Kind: packet.DATA, Meta: d, Src: 0, Dst: 1, Requester: 1, Provider: 0,
+		Level: radio.MaxPower})
+	pending("after DATA", false)
+	if second.Active() {
+		t.Fatal("DATA left the pending timer scheduled")
+	}
+	if !fx.sys.Has(1, d) {
+		t.Fatal("DATA not stored")
+	}
+}
