@@ -353,38 +353,6 @@ func BenchmarkInterZoneQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkDBFCompute measures one full Distributed Bellman-Ford
-// convergence plus route derivation at the paper's 20 m zone radius: the
-// standard 169-node field, the largest 225-node grid, and that grid after
-// a 5% relocation — the recompute every §5.1.3 mobility event pays. The
-// rounds and broadcasts metrics are deterministic; if either moves, the
-// routing semantics changed.
-func BenchmarkDBFCompute(b *testing.B) {
-	for _, bc := range []struct {
-		name     string
-		n        int
-		relocate float64
-	}{
-		{"grid-169", 169, 0},
-		{"grid-225", 225, 0},
-		{"grid-225-relocated", 225, 0.05},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			f := benchField(b, bc.n)
-			f.RelocateFraction(bc.relocate, sim.NewRNG(1))
-			g := routing.BuildGraphWorkers(f, 1)
-			var tbl *routing.Tables
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tbl = routing.ComputeWorkers(g, routing.DefaultAlternatives, 1)
-			}
-			b.ReportMetric(float64(tbl.Rounds()), "rounds")
-			b.ReportMetric(float64(tbl.Broadcasts()), "broadcasts")
-		})
-	}
-}
-
 // BenchmarkSchedulerThroughput measures raw event dispatch.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := sim.NewScheduler()

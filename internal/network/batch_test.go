@@ -295,3 +295,61 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 		t.Fatal("no deliveries recorded — cycle did not exercise the dispatch path")
 	}
 }
+
+// relay answers every packet it handles with a unicast back to the
+// sender, until the network has sent limit packets in all; it counts the
+// batches that, once consumed, leave the receiver FIFO empty.
+type relay struct {
+	fx     *fixture
+	id     packet.NodeID
+	limit  uint64
+	drains *int
+}
+
+func (r *relay) HandlePacket(p packet.Packet) {
+	nw := r.fx.nw
+	// Mid-batch the head is this run's packet.None terminator; anything
+	// after it is a later transmission's run, still waiting.
+	if len(nw.rxq)-nw.rxHead == 1 {
+		*r.drains++
+	}
+	if nw.Counters().TotalSent() < r.limit {
+		nw.Send(packet.Packet{Kind: packet.ADV, Src: r.id, Dst: p.Src, Level: radio.MaxPower})
+	}
+}
+
+// TestReceiverFIFOReclaimsConsumedPrefix keeps the receiver FIFO from
+// draining for over 10⁴ transmissions — four unicasts bounce between two
+// nodes, staggered so that a completion always lands while an earlier
+// batch still waits — and checks that its backing stays bounded: the
+// consumed prefix is slid down once it outgrows the pending runs.
+func TestReceiverFIFOReclaimsConsumedPrefix(t *testing.T) {
+	const (
+		proc    = 5 * time.Millisecond
+		flights = 4
+		limit   = 10000
+	)
+	fx := newFixture(t, noBackoff())
+	fx.nw.SetProcessingDelay(proc)
+	drains := 0
+	for i := 0; i < 2; i++ {
+		fx.nw.Bind(packet.NodeID(i), &relay{fx: fx, id: packet.NodeID(i), limit: limit, drains: &drains})
+	}
+	for i := 0; i < flights; i++ {
+		fx.sched.AtArg(time.Duration(i)*proc/flights, func(uint64) {
+			fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: 0, Dst: 1, Level: radio.MaxPower})
+		}, 0)
+	}
+	if err := fx.sched.RunUntilIdle(0); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+	if sent := fx.nw.Counters().TotalSent(); sent < limit || drains != 1 {
+		t.Fatalf("sent %d, FIFO emptied by %d batches; want ≥ %d sent and only the last batch emptying it", sent, drains, limit)
+	}
+	// At most flights runs of two entries (a unicast's receiver and its
+	// terminator) wait at once, and the slide keeps the consumed prefix
+	// shorter than them.
+	if c := cap(fx.nw.rxq); c > 2*2*flights {
+		t.Fatalf("receiver FIFO capacity %d after %d transmissions, want ≤ %d", c, limit, 2*2*flights)
+	}
+}

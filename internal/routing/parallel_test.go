@@ -2,9 +2,10 @@ package routing
 
 // Parallel-vs-serial equality for the routing kernels: BuildGraphWorkers
 // and ComputeWorkers must produce structures deeply equal to the serial
-// path at every worker count — the routing half of the §10 byte-identical
-// determinism contract. GOMAXPROCS is raised so single-core machines still
-// fork real workers.
+// path at every worker count, and a table computed in parallel must read
+// the same routes and next hops — the routing half of the §10
+// byte-identical determinism contract. GOMAXPROCS is raised so single-core
+// machines still fork real workers.
 
 import (
 	"runtime"
@@ -63,6 +64,11 @@ func TestComputeWorkersMatchesSerial(t *testing.T) {
 					if a[i] != b[i] {
 						t.Fatalf("workers=%d %d->%d route %d: %+v, want %+v", workers, s, d, i, b[i], a[i])
 					}
+				}
+				hopA, okA := serial.NextHop(packet.NodeID(s), packet.NodeID(d))
+				hopB, okB := par.NextHop(packet.NodeID(s), packet.NodeID(d))
+				if hopA != hopB || okA != okB {
+					t.Fatalf("workers=%d %d->%d: next hop %d (ok %v), want %d (ok %v)", workers, s, d, hopB, okB, hopA, okA)
 				}
 			}
 		}

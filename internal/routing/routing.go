@@ -15,9 +15,10 @@
 // (ChargeConvergenceEnergy): the shortcut changes how fast the tables are
 // computed, not what the modeled radio traffic costs.
 //
-// The tables keep k alternatives per destination, yet SPMS (internal/core)
-// forwards only along the primary entry; the secondary routes are a known
-// gap in fidelity to the paper (DESIGN.md §5.2).
+// The tables store costs and hop counts, and derive a pair's k alternatives
+// when it is read. SPMS (internal/core) forwards only along the primary
+// entry; the secondary routes are a known gap in fidelity to the paper
+// (DESIGN.md §5.2).
 package routing
 
 import (
@@ -96,20 +97,22 @@ type Entry struct {
 	Hops    int
 }
 
-// Tables is the converged output of one DBF execution for every node.
+// Tables is the converged output of one DBF execution for every node, 16
+// bytes per ordered pair. Alternatives are derived on read, not stored;
+// NextHop writes its cache, so a Tables has one owner (DESIGN.md §5.1).
 type Tables struct {
 	n    int
 	dist []float64 // row-major n×n: dist[i*n+d] is the shortest cost i→d (+Inf if none)
 	hops []int32   // row-major n×n: hops on that path (-1 if none)
+	next []int32   // row-major n×n: NextHop's cache, 0 until read, then -1 (no route) or hop+1
 
-	// routes holds each (src, dst) pair's alternatives, best first, in a
-	// fixed run of stride slots starting at (src*n+dst)*stride; nroutes
-	// counts the filled ones. stride is k capped at the largest degree,
-	// since a pair never has more candidates than its source has
-	// neighbors.
-	routes  []Entry
-	nroutes []int32
-	stride  int
+	// adj is the graph the tables were computed on; k, the alternatives a
+	// pair keeps, is capped at its largest degree. top is NextHop's scratch
+	// of capacity k, as Routes derives, so that NextHop is Routes' entry 0
+	// even on costs where approxEqual is not transitive.
+	adj [][]Edge
+	k   int
+	top []Entry
 
 	rounds        int
 	broadcasts    int
@@ -124,8 +127,8 @@ type vecEntry struct {
 }
 
 // ComputeWorkers runs synchronous DBF to convergence over up to workers
-// goroutines and derives k-alternative routing tables. k < 1 is treated as
-// DefaultAlternatives.
+// goroutines and returns tables that derive k alternatives per pair on
+// read. k < 1 is treated as DefaultAlternatives.
 //
 // Each round runs as the triggered updates of a real distance-vector
 // protocol: a node broadcasts exactly when it changed some entry in the
@@ -143,9 +146,9 @@ type vecEntry struct {
 // equal up to rounding or apart by much more than costEpsilon. The MICA2-scaled models meet it by a wide margin: on the
 // fields the tests and experiments use, distinct path costs lie at least
 // ~1.6e-4 of the top power level apart (~2e-7 mW at a 10 m radius), while
-// equal costs differ by under 1e-15 mW of rounding. deriveRoutes relies on
-// the same condition. TestComputeMatchesDenseReference checks the tables
-// bit for bit against the dense kernel.
+// equal costs differ by under 1e-15 mW of rounding. derive relies on the
+// same condition. TestComputeMatchesDenseReference checks the tables bit
+// for bit against the dense kernel.
 //
 // Rounds are parallel over rows in two phases. In the relax phase node i
 // reads only its neighbors' snapshots and writes only its own row (in
@@ -223,7 +226,10 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 		})
 	}
 
-	t.deriveRoutes(g, k, workers)
+	for _, adj := range g.adj {
+		t.k = max(t.k, min(k, len(adj)))
+	}
+	t.adj, t.next, t.top = g.adj, make([]int32, n*n), make([]Entry, 0, t.k)
 	return t
 }
 
@@ -278,47 +284,29 @@ func compareRoutes(a, b Entry) int {
 	return int(a.NextHop) - int(b.NextHop)
 }
 
-// deriveRoutes builds the k-alternative tables from converged distances:
-// for each (src, dst), the candidate cost via each neighbor j is
-// w(src,j) + dist(j,dst); keep the best k with distinct next hops. Each
-// pair keeps its best k by insertion as the candidates arrive. Because
-// compareRoutes is a strict total order, that selects exactly the first
-// k of the sorted candidate list.
-//
-// Rows partition across workers: each (i, d) entry is a pure function of
-// the converged distances, written only by the worker owning row i, so
-// the tables are identical at any worker count.
-func (t *Tables) deriveRoutes(g *Graph, k, workers int) {
-	n, stride := t.n, 0
-	for _, adj := range g.adj {
-		stride = max(stride, min(k, len(adj)))
+// derive fills top with src→dst's best cap(top) alternatives, best first:
+// the candidate via each neighbor j costs w(src,j) + dist(j,dst), kept by
+// insertion as it arrives. Because compareRoutes is a strict total order,
+// that selects the first cap(top) of the sorted candidate list. Nothing it
+// reads changes after ComputeWorkers, so the read order does not matter.
+func (t *Tables) derive(top []Entry, src, dst int) []Entry {
+	top = top[:0]
+	if src == dst {
+		return top
 	}
-	t.stride = stride
-	t.routes = make([]Entry, n*n*stride)
-	t.nroutes = make([]int32, n*n)
-	zone.For(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row, counts := t.routes[i*n*stride:(i+1)*n*stride], t.nroutes[i*n:(i+1)*n]
-			for d := 0; d < n; d++ {
-				if i == d {
-					continue
-				}
-				top := row[d*stride : d*stride : (d+1)*stride]
-				for _, e := range g.adj[i] {
-					j := int(e.To)
-					if math.IsInf(t.dist[j*n+d], 1) {
-						continue
-					}
-					top = insertTopK(top, Entry{
-						NextHop: e.To,
-						Cost:    e.WeightMW + t.dist[j*n+d],
-						Hops:    1 + int(t.hops[j*n+d]),
-					})
-				}
-				counts[d] = int32(len(top))
-			}
+	n := t.n
+	for _, e := range t.adj[src] {
+		j := int(e.To)
+		if math.IsInf(t.dist[j*n+dst], 1) {
+			continue
 		}
-	})
+		top = insertTopK(top, Entry{
+			NextHop: e.To,
+			Cost:    e.WeightMW + t.dist[j*n+dst],
+			Hops:    1 + int(t.hops[j*n+dst]),
+		})
+	}
+	return top
 }
 
 // insertTopK inserts c into top, kept sorted by compareRoutes, and drops
@@ -358,27 +346,30 @@ func (t *Tables) check(id packet.NodeID) {
 	}
 }
 
-// Routes returns up to k alternative entries for src→dst, best first.
-// The slice is owned by the table; callers must not modify it.
+// Routes returns up to k alternative entries for src→dst, best first,
+// derived on each call into a fresh slice that is the caller's.
 func (t *Tables) Routes(src, dst packet.NodeID) []Entry {
 	t.check(src)
 	t.check(dst)
-	pair := int(src)*t.n + int(dst)
-	c := int(t.nroutes[pair])
-	if c == 0 {
-		return nil
-	}
-	base := pair * t.stride
-	return t.routes[base : base+c : base+c]
+	return t.derive(make([]Entry, 0, t.k), int(src), int(dst))
 }
 
-// NextHop returns the primary next hop for src→dst.
+// NextHop returns the primary next hop for src→dst, entry 0 of Routes,
+// derived on the pair's first read and cached.
 func (t *Tables) NextHop(src, dst packet.NodeID) (packet.NodeID, bool) {
-	rs := t.Routes(src, dst)
-	if len(rs) == 0 {
-		return packet.None, false
+	t.check(src)
+	t.check(dst)
+	pair := int(src)*t.n + int(dst)
+	if t.next[pair] == 0 {
+		t.next[pair] = -1
+		if top := t.derive(t.top, int(src), int(dst)); len(top) > 0 {
+			t.next[pair] = int32(top[0].NextHop) + 1
+		}
 	}
-	return rs[0].NextHop, true
+	if h := t.next[pair]; h > 0 {
+		return packet.NodeID(h - 1), true
+	}
+	return packet.None, false
 }
 
 // Cost returns the shortest-path cost src→dst in summed milliwatts.

@@ -411,6 +411,39 @@ func TestDBFCountsPinned(t *testing.T) {
 	}
 }
 
+// BenchmarkDBFCompute measures one full Distributed Bellman-Ford
+// convergence at the paper's 20 m zone radius: the standard 169-node field,
+// the largest 225-node grid, and that grid after a 5% relocation — the
+// recompute every §5.1.3 mobility event pays. Routes are derived on read,
+// so this times the DBF alone. The rounds and broadcasts metrics are
+// deterministic (TestDBFCountsPinned); if either moves, the routing
+// semantics changed.
+func BenchmarkDBFCompute(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		n        int
+		relocate float64
+	}{
+		{"grid-169", 169, 0},
+		{"grid-225", 225, 0},
+		{"grid-225-relocated", 225, 0.05},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := gridField(b, bc.n, 5, 20)
+			f.RelocateFraction(bc.relocate, sim.NewRNG(1))
+			g := BuildGraphWorkers(f, 1)
+			var tbl *Tables
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tbl = ComputeWorkers(g, DefaultAlternatives, 1)
+			}
+			b.ReportMetric(float64(tbl.Rounds()), "rounds")
+			b.ReportMetric(float64(tbl.Broadcasts()), "broadcasts")
+		})
+	}
+}
+
 func TestNodeBroadcastsSumToTotal(t *testing.T) {
 	f := gridField(t, 25, 5, 12)
 	tbl := ComputeWorkers(BuildGraphWorkers(f, 1), 2, 1)
