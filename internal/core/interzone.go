@@ -143,7 +143,7 @@ func (s *System) onQueryTimeout(arg uint64) {
 
 // onQRY runs at a node receiving an inter-zone query: answer from the local
 // cache, or bordercast onward.
-func (n *node) onQRY(p packet.Packet, it int) {
+func (n *node) onQRY(p *packet.Packet, it int) {
 	key := queryKey{meta: p.Meta, requester: p.Requester, seq: p.QuerySeq}
 	if n.seenQueries == nil {
 		n.seenQueries = make(map[queryKey]bool)
@@ -161,7 +161,7 @@ func (n *node) onQRY(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Trail = appendTrail(p.Trail, n.id)
 	n.forwardQuery(fwd)
 }
@@ -279,7 +279,7 @@ func contains(ids []packet.NodeID, id packet.NodeID) bool {
 // replyToQuery serves a QRY from the local cache: the DATA retraces the
 // query's trail in reverse (source routing), so no routing state beyond the
 // trail is needed.
-func (n *node) replyToQuery(q packet.Packet) {
+func (n *node) replyToQuery(q *packet.Packet) {
 	if len(q.Trail) == 0 {
 		n.sys.nw.Counters().Drops++
 		return
@@ -310,7 +310,7 @@ func (n *node) replyToQuery(q packet.Packet) {
 // forwardSourceRouted advances a trail-carrying DATA reply one hop. It
 // reports whether it consumed the packet (false means the caller should
 // fall back to table routing).
-func (n *node) forwardSourceRouted(p packet.Packet) bool {
+func (n *node) forwardSourceRouted(p *packet.Packet) bool {
 	if len(p.Trail) == 0 {
 		return false
 	}
@@ -320,7 +320,7 @@ func (n *node) forwardSourceRouted(p packet.Packet) bool {
 		n.sys.nw.Counters().Drops++
 		return true // consumed (and lost); the requester's retry recovers
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level

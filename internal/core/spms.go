@@ -153,7 +153,10 @@ type System struct {
 // acqChunk is the number of acquisitions in one slab chunk.
 const acqChunk = 256
 
-var _ dissem.Protocol = (*System)(nil)
+var (
+	_ dissem.Protocol  = (*System)(nil)
+	_ network.Receiver = (*System)(nil)
+)
 
 // NewSystem builds the protocol instances and binds them to the network.
 // tables must be the converged routing state for the network's field.
@@ -185,11 +188,9 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.sys = s
-		n.id = packet.NodeID(i)
-		nw.Bind(n.id, n)
+		s.nodes[i] = node{sys: s, id: packet.NodeID(i)}
 	}
+	nw.Bind(s)
 	return s, nil
 }
 
@@ -341,11 +342,6 @@ type node struct {
 	seenQueries map[queryKey]bool
 }
 
-var _ network.Receiver = (*node)(nil)
-
-// item resolves d to its dense ledger index, -1 when never originated.
-func (n *node) item(d packet.DataID) int { return n.sys.ledger.Index(d) }
-
 // hasItem reports whether this node holds item it.
 func (n *node) hasItem(it int) bool { return it >= 0 && it < len(n.has) && n.has[it] }
 
@@ -448,24 +444,35 @@ func (s *System) acqAt(id uint64) *acquisition {
 	return &s.acqChunks[id/acqChunk][id%acqChunk]
 }
 
-// HandlePacket runs the protocol reaction to p. The Tproc processing delay
-// of §4's model is applied by the network's batched dispatch
-// (SetProcessingDelay in NewSystem), which also re-checks liveness — so by
-// the time this runs, the node is alive and the clock is already at
-// delivery+Tproc.
-func (n *node) HandlePacket(p packet.Packet) {
-	it := n.item(p.Meta)
+// HandleBatch implements network.Receiver: it runs the protocol reaction
+// to p at every node in to. The Tproc processing delay of §4's model is
+// applied by the network's batched dispatch (SetProcessingDelay in
+// NewSystem), which also drops receivers that failed before processing —
+// so every node in to is alive and the clock is already at
+// delivery+Tproc. The item index and the kind are resolved once per batch:
+// items are registered only by Originate, from workload events, so the
+// index cannot change while the batch runs.
+func (s *System) HandleBatch(p packet.Packet, to []packet.NodeID) {
+	it := s.ledger.Index(p.Meta)
 	switch p.Kind {
 	case packet.ADV:
-		n.onADV(p, it)
+		for _, id := range to {
+			s.nodes[id].onADV(&p, it)
+		}
 	case packet.REQ:
-		n.onREQ(p, it)
+		for _, id := range to {
+			s.nodes[id].onREQ(&p, it)
+		}
 	case packet.DATA:
-		n.onDATA(p, it)
+		for _, id := range to {
+			s.nodes[id].onDATA(&p, it)
+		}
 	case packet.QRY:
-		n.onQRY(p, it)
+		for _, id := range to {
+			s.nodes[id].onQRY(&p, it)
+		}
 	default:
-		panic(fmt.Sprintf("core: node %d received unexpected %v", n.id, p.Kind))
+		panic(fmt.Sprintf("core: node %d received unexpected %v", to[0], p.Kind))
 	}
 }
 
@@ -493,7 +500,7 @@ func (n *node) closer(candidate, current packet.NodeID) bool {
 //     relay to acquire and re-advertise the data.
 //   - Advertisements from closer nodes promote the PRONE and demote the old
 //     PRONE to SCONE.
-func (n *node) onADV(p packet.Packet, it int) {
+func (n *node) onADV(p *packet.Packet, it int) {
 	d := p.Meta
 	if n.hasItem(it) || !n.sys.interest(n.id, d) {
 		return
@@ -719,7 +726,7 @@ func (n *node) failover(acq *acquisition) {
 // onREQ handles a request arriving at this node: serve it if addressed
 // here, otherwise forward it along this node's own shortest path to the
 // addressee (hop-by-hop forwarding, §3.2).
-func (n *node) onREQ(p packet.Packet, it int) {
+func (n *node) onREQ(p *packet.Packet, it int) {
 	if p.Provider == n.id || (n.sys.cfg.ServeFromCache && n.hasItem(it)) {
 		if !n.hasItem(it) {
 			// Addressed to us but we never got the data (e.g. we are a
@@ -741,7 +748,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level
@@ -751,7 +758,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 // serveDATA answers a REQ: "the data is sent in exactly the same manner as
 // the received request" — directly when the REQ arrived directly from the
 // requester, otherwise along the shortest path.
-func (n *node) serveDATA(req packet.Packet) {
+func (n *node) serveDATA(req *packet.Packet) {
 	d := req.Meta
 	sz := n.sys.nw.Sizes()
 	if req.Src == req.Requester {
@@ -801,7 +808,7 @@ func (n *node) serveDATA(req packet.Packet) {
 // once in its zone ("a node advertises its own data as well as all received
 // data once amongst its neighbors", §3.2) — unless the relay-ADV ablation
 // is active.
-func (n *node) onDATA(p packet.Packet, it int) {
+func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
 	isNew := !n.hasItem(it)
 	n.setHas(it)
@@ -847,7 +854,7 @@ func (n *node) onDATA(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level

@@ -30,7 +30,7 @@ func TestSendREQDirectFallsBackToRoute(t *testing.T) {
 	run(t, fx, 100*time.Millisecond)
 
 	n := &fx.sys.nodes[11]
-	acq := n.acquire(d, n.item(d), 0)
+	acq := n.acquire(d, fx.ledger.Index(d), 0)
 	n.sendREQ(acq, 0, true) // direct to an unreachable target
 	run(t, fx, 5*time.Second)
 
@@ -59,7 +59,7 @@ func TestSendREQAbandonsWithoutAnyPath(t *testing.T) {
 		t.Fatalf("Originate: %v", err)
 	}
 	n := &fx.sys.nodes[1]
-	acq := n.acquire(d, n.item(d), 0)
+	acq := n.acquire(d, fx.ledger.Index(d), 0)
 	n.sendREQ(acq, 0, false) // multi-hop with no route at all
 	run(t, fx, time.Second)
 	if !acq.abandoned {
@@ -76,7 +76,7 @@ func TestSendREQRespectsAttemptBudget(t *testing.T) {
 	fx := chainFixture(t, 3, dissem.Everyone, 23)
 	d := packet.DataID{Origin: 0, Seq: 0}
 	n := &fx.sys.nodes[2]
-	acq := n.acquire(d, n.item(d), 0)
+	acq := n.acquire(d, fx.ledger.Index(d), 0)
 	acq.attempts = fx.sys.cfg.MaxAttempts
 	n.sendREQ(acq, 0, true)
 	run(t, fx, 100*time.Millisecond)
@@ -129,7 +129,7 @@ func TestReplyToQueryEmptyTrailDrops(t *testing.T) {
 	run(t, fx, 500*time.Millisecond)
 	n := &fx.sys.nodes[0]
 	before := fx.nw.Counters().Drops
-	n.replyToQuery(packet.Packet{Kind: packet.QRY, Meta: d, Requester: 2})
+	n.replyToQuery(&packet.Packet{Kind: packet.QRY, Meta: d, Requester: 2})
 	if fx.nw.Counters().Drops != before+1 {
 		t.Fatal("empty-trail query reply not dropped")
 	}
@@ -150,7 +150,7 @@ func TestServeDATAUnreachableRequesterDrops(t *testing.T) {
 	fx.field.Move(2, fx.field.Bounds().Max)
 	n := &fx.sys.nodes[0]
 	before := fx.nw.Counters().Drops
-	n.serveDATA(packet.Packet{
+	n.serveDATA(&packet.Packet{
 		Kind: packet.REQ, Meta: d, Src: 2, Dst: 0, Requester: 2, Provider: 0,
 	})
 	// Chain bounds keep node 2 on the line; force a true out-of-range case
@@ -167,13 +167,13 @@ func TestForwardSourceRoutedConsumesTrail(t *testing.T) {
 	n := &fx.sys.nodes[1]
 	d := packet.DataID{Origin: 0, Seq: 0}
 	// Empty trail: not consumed (falls back to table routing).
-	if n.forwardSourceRouted(packet.Packet{Kind: packet.DATA, Meta: d}) {
+	if n.forwardSourceRouted(&packet.Packet{Kind: packet.DATA, Meta: d}) {
 		t.Fatal("empty trail should not be consumed")
 	}
 	// One-hop trail to a reachable node: consumed and forwarded.
 	p := packet.Packet{Kind: packet.DATA, Meta: d, Requester: 2, Provider: 0,
 		Trail: []packet.NodeID{2}, Bytes: 40}
-	if !n.forwardSourceRouted(p) {
+	if !n.forwardSourceRouted(&p) {
 		t.Fatal("valid trail not consumed")
 	}
 }
@@ -227,7 +227,7 @@ func TestOutstandingCheckAfterTimerFires(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fx, d := unheldItemFixture(t, 31)
 			n := &fx.sys.nodes[2]
-			acq := n.acquire(d, n.item(d), 0)
+			acq := n.acquire(d, fx.ledger.Index(d), 0)
 			fired := *tc.arm(n, acq)
 			if !armed(fired) || !fired.Active() {
 				t.Fatal("timer not armed")
@@ -261,7 +261,7 @@ func TestOutstandingCheckAfterFinishAndAbandon(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fx, d := unheldItemFixture(t, 33)
 			n := &fx.sys.nodes[2]
-			acq := n.acquire(d, n.item(d), 0)
+			acq := n.acquire(d, fx.ledger.Index(d), 0)
 			n.sendREQ(acq, 0, true)
 			n.armTauADV(acq)
 			checkTimerState(t, "both armed", acq, true, true)

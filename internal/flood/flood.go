@@ -27,7 +27,10 @@ type System struct {
 	nodes    []node
 }
 
-var _ dissem.Protocol = (*System)(nil)
+var (
+	_ dissem.Protocol  = (*System)(nil)
+	_ network.Receiver = (*System)(nil)
+)
 
 // NewSystem builds the flooding instances and binds them to the network.
 // proc is the per-packet processing delay (Table 1: 0.02 ms).
@@ -45,11 +48,9 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.sys = s
-		n.id = packet.NodeID(i)
-		nw.Bind(n.id, n)
+		s.nodes[i] = node{sys: s, id: packet.NodeID(i)}
 	}
+	nw.Bind(s)
 	return s, nil
 }
 
@@ -103,17 +104,25 @@ func (n *node) setSeen(it int) {
 	n.seen[it] = true
 }
 
-var _ network.Receiver = (*node)(nil)
-
-// HandlePacket runs the flooding reaction. The processing delay is applied
-// by the network's batched dispatch (SetProcessingDelay in NewSystem),
-// which also re-checks liveness before calling here.
-func (n *node) HandlePacket(p packet.Packet) {
+// HandleBatch implements network.Receiver: it runs the flooding reaction
+// to p at every node in to. The processing delay is applied by the
+// network's batched dispatch (SetProcessingDelay in NewSystem), which also
+// drops receivers that failed before processing. The item index is
+// resolved once per batch, as in internal/core.
+func (s *System) HandleBatch(p packet.Packet, to []packet.NodeID) {
 	if p.Kind != packet.DATA {
-		panic(fmt.Sprintf("flood: node %d received unexpected %v", n.id, p.Kind))
+		panic(fmt.Sprintf("flood: node %d received unexpected %v", to[0], p.Kind))
 	}
+	it := s.ledger.Index(p.Meta)
+	for _, id := range to {
+		s.nodes[id].onDATA(&p, it)
+	}
+}
+
+// onDATA rebroadcasts the first copy of an item and counts the rest as
+// duplicates.
+func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
-	it := n.sys.ledger.Index(d)
 	if n.seenItem(it) {
 		n.sys.nw.Counters().Duplicates++
 		return // rebroadcast only the first copy

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -41,19 +42,26 @@ func TestEnergyAccountBasics(t *testing.T) {
 
 func TestEnergyAccountPanics(t *testing.T) {
 	a := NewEnergyAccount(2)
-	cases := map[string]func(){
-		"out of range":    func() { a.AddTx(5, 1) },
-		"negative id":     func() { a.AddRx(-1, 1) },
-		"negative energy": func() { a.AddCtrl(0, -0.5) },
+	cases := map[string]struct {
+		fn   func()
+		want string
+	}{
+		"out of range":    {func() { a.AddTx(5, 1) }, "metrics: node id 5 out of range [0,2)"},
+		"negative id":     {func() { a.AddRx(-1, 1) }, "metrics: node id -1 out of range [0,2)"},
+		"negative energy": {func() { a.AddCtrl(0, -0.5) }, "metrics: negative energy -0.5 for node 0"},
 	}
-	for name, fn := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatal("expected panic")
 				}
+				if got := fmt.Sprint(r); got != c.want {
+					t.Fatalf("panic %q, want %q", got, c.want)
+				}
 			}()
-			fn()
+			c.fn()
 		})
 	}
 }

@@ -2,51 +2,36 @@ package network
 
 // Tests for batched delivery: the network replaces the old per-receiver
 // After(Proc) closures with one arg-event per transmission whose receivers
-// wait in one FIFO, and these pin the semantics that replacement must
-// preserve — handler timing at completion+proc, receiver order, batch
-// order across flights completing at one instant, the silent skip of
-// receivers that die between delivery and processing — plus the
-// allocation-free steady state that motivates the mechanism.
+// wait in one FIFO and reach the protocol in one HandleBatch call, and
+// these pin the semantics that replacement must preserve — handler timing
+// at completion+proc, receiver order, batch order across flights
+// completing at one instant, the silent skip of receivers that die between
+// delivery and processing — plus the allocation-free steady state that
+// motivates the mechanism.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/packet"
 	"repro/internal/radio"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
-// timedRecorder logs each delivery with the simulation time it was handled.
-type timedRecorder struct {
-	fx    *fixture
-	order *[]packet.NodeID // shared across receivers: global handler order
-	id    packet.NodeID
-	times []time.Duration
-}
-
-func (r *timedRecorder) HandlePacket(p packet.Packet) {
-	r.times = append(r.times, r.fx.sched.Now())
-	*r.order = append(*r.order, r.id)
-}
-
-// deferredFixture rebinds the standard 3-node chain fixture with
-// time-logging receivers and sets the network's processing delay.
-func deferredFixture(t *testing.T, proc time.Duration) (*fixture, []*timedRecorder, *[]packet.NodeID) {
+// deferredFixture is the standard 3-node chain fixture with the network's
+// processing delay set.
+func deferredFixture(t *testing.T, proc time.Duration) *fixture {
 	t.Helper()
 	fx := newFixture(t, noBackoff())
 	fx.nw.SetProcessingDelay(proc)
-	order := new([]packet.NodeID)
-	recs := make([]*timedRecorder, 3)
-	for i := range recs {
-		recs[i] = &timedRecorder{fx: fx, order: order, id: packet.NodeID(i)}
-		fx.nw.Bind(packet.NodeID(i), recs[i])
-	}
-	return fx, recs, order
+	return fx
 }
 
 func TestDeferredHandlersRunAtCompletionPlusProc(t *testing.T) {
 	const proc = 5 * time.Millisecond
-	fx, recs, _ := deferredFixture(t, proc)
+	fx := deferredFixture(t, proc)
 
 	var delivered time.Duration
 	fx.nw.SetTrace(func(ev TraceEvent) {
@@ -61,34 +46,35 @@ func TestDeferredHandlersRunAtCompletionPlusProc(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("no delivery traced")
 	}
-	for _, r := range []*timedRecorder{recs[0], recs[2]} {
-		if len(r.times) != 1 {
-			t.Fatalf("node %d handled %d packets, want 1", r.id, len(r.times))
+	for _, id := range []packet.NodeID{0, 2} {
+		times := fx.rec.times(id)
+		if len(times) != 1 {
+			t.Fatalf("node %d handled %d packets, want 1", id, len(times))
 		}
-		if got, want := r.times[0], delivered+proc; got != want {
-			t.Fatalf("node %d handler ran at %v, want delivery(%v)+proc = %v", r.id, got, delivered, want)
+		if got, want := times[0], delivered+proc; got != want {
+			t.Fatalf("node %d handler ran at %v, want delivery(%v)+proc = %v", id, got, delivered, want)
 		}
 	}
 }
 
 func TestDeferredBatchPreservesReceiverOrder(t *testing.T) {
-	fx, _, order := deferredFixture(t, time.Millisecond)
+	fx := deferredFixture(t, time.Millisecond)
 	fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: 1, Dst: packet.Broadcast, Level: radio.MaxPower})
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
 	// ReachedBy order is ascending node id: 0 then 2.
-	if len(*order) != 2 || (*order)[0] != 0 || (*order)[1] != 2 {
-		t.Fatalf("handler order %v, want [0 2]", *order)
+	if len(fx.rec.batches) != 1 || !slices.Equal(fx.rec.batches[0].to, []packet.NodeID{0, 2}) {
+		t.Fatalf("batches %v, want one handed to [0 2]", fx.rec.batches)
 	}
 }
 
 func TestDeferredSkipsReceiverDeadBeforeProcessing(t *testing.T) {
 	// A receiver that fails after delivery (energy charged, trace emitted)
-	// but before completion+proc silently skips its handler — the same
+	// but before completion+proc is left out of the batch — the same
 	// window the old per-receiver After(Proc) closures checked.
 	const proc = 2 * time.Second
-	fx, recs, _ := deferredFixture(t, proc)
+	fx := deferredFixture(t, proc)
 	// The transmission completes within milliseconds; 1s is safely inside
 	// the (completion, completion+proc) window.
 	fx.sched.AtArg(time.Second, func(uint64) { fx.nw.Fail(2) }, 0)
@@ -96,11 +82,14 @@ func TestDeferredSkipsReceiverDeadBeforeProcessing(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(recs[0].times) != 1 {
-		t.Fatalf("live receiver handled %d packets, want 1", len(recs[0].times))
+	if len(fx.rec.batches) != 1 || !slices.Equal(fx.rec.batches[0].to, []packet.NodeID{0}) {
+		t.Fatalf("batches %v, want one handed to [0] only", fx.rec.batches)
 	}
-	if len(recs[2].times) != 0 {
-		t.Fatalf("dead receiver's handler ran %d times, want 0", len(recs[2].times))
+	if n := len(fx.rec.got[0]); n != 1 {
+		t.Fatalf("live receiver handled %d packets, want 1", n)
+	}
+	if n := len(fx.rec.got[2]); n != 0 {
+		t.Fatalf("dead receiver's handler ran %d times, want 0", n)
 	}
 	// The delivery itself happened while the node was up: it counts as Rx
 	// energy, not as a drop.
@@ -112,7 +101,7 @@ func TestDeferredSkipsReceiverDeadBeforeProcessing(t *testing.T) {
 func TestDeferProcessingZeroStillBatches(t *testing.T) {
 	// proc=0 matches the old After(0) semantics: handlers run at the
 	// completion instant but in their own event, after onComplete returns.
-	fx, recs, _ := deferredFixture(t, 0)
+	fx := deferredFixture(t, 0)
 	var delivered time.Duration
 	fx.nw.SetTrace(func(ev TraceEvent) {
 		if ev.Kind == TraceDeliver {
@@ -123,37 +112,22 @@ func TestDeferProcessingZeroStillBatches(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(recs[1].times) != 1 || recs[1].times[0] != delivered {
-		t.Fatalf("unicast handler times %v, want one handling at delivery time %v", recs[1].times, delivered)
-	}
-}
-
-// forwarder re-Sends from its own node on the first packet it handles —
-// the re-entrant case that grows the flight arena mid-batch.
-type forwarder struct {
-	fx   *fixture
-	id   packet.NodeID
-	got  int
-	sent bool
-}
-
-func (f *forwarder) HandlePacket(p packet.Packet) {
-	f.got++
-	if !f.sent {
-		f.sent = true
-		f.fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: f.id, Dst: packet.Broadcast, Level: radio.MaxPower})
+	if times := fx.rec.times(1); len(times) != 1 || times[0] != delivered {
+		t.Fatalf("unicast handler times %v, want one handling at delivery time %v", times, delivered)
 	}
 }
 
 func TestDeferredReentrantSendGrowsArenaSafely(t *testing.T) {
 	// Handlers Sending mid-batch append new flights; the batch must keep
 	// iterating its own (possibly relocated) slot without losing receivers.
-	fx := newFixture(t, noBackoff())
-	fx.nw.SetProcessingDelay(time.Millisecond)
-	fwds := make([]*forwarder, 3)
-	for i := range fwds {
-		fwds[i] = &forwarder{fx: fx, id: packet.NodeID(i)}
-		fx.nw.Bind(packet.NodeID(i), fwds[i])
+	// Each node re-Sends from itself on the first packet it handles.
+	fx := deferredFixture(t, time.Millisecond)
+	var sent [3]bool
+	fx.rec.react = func(_ packet.Packet, id packet.NodeID) {
+		if !sent[id] {
+			sent[id] = true
+			fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: id, Dst: packet.Broadcast, Level: radio.MaxPower})
+		}
 	}
 	fx.nw.Send(packet.Packet{Kind: packet.ADV, Src: 1, Dst: packet.Broadcast, Level: radio.MaxPower})
 	if err := fx.sched.RunUntilIdle(0); err != nil {
@@ -162,31 +136,111 @@ func TestDeferredReentrantSendGrowsArenaSafely(t *testing.T) {
 	// At max power every broadcast reaches both other nodes. Each node
 	// forwards exactly once: 4 transmissions × 2 receivers = 8 deliveries,
 	// 3 at the ends (seed + two forwards) and 2 at the seeding middle node.
-	total := fwds[0].got + fwds[1].got + fwds[2].got
-	if total != 8 || fwds[0].got != 3 || fwds[1].got != 2 || fwds[2].got != 3 {
-		t.Fatalf("deliveries %d/%d/%d (total %d), want 3/2/3", fwds[0].got, fwds[1].got, fwds[2].got, total)
+	got := []int{len(fx.rec.got[0]), len(fx.rec.got[1]), len(fx.rec.got[2])}
+	if total := got[0] + got[1] + got[2]; total != 8 || got[0] != 3 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("deliveries %d/%d/%d (total %d), want 3/2/3", got[0], got[1], got[2], total)
 	}
 	if got := fx.nw.Counters().TotalSent(); got != 4 {
 		t.Fatalf("TotalSent = %d, want 4", got)
 	}
 }
 
-// handling is one handler call: which node handled which packet, when.
-type handling struct {
-	node packet.NodeID
-	seq  int
-	at   time.Duration
-}
+// TestHandleBatchContract pins what the receiver is handed on a 25-node
+// grid where some receivers fail between delivery and processing: one
+// HandleBatch per transmission that still has a live receiver, none for a
+// transmission whose receivers all died, and to holding exactly the
+// survivors, in ReachedBy order. Every run is consumed either way, so each
+// batch carries its own transmission's packet.
+func TestHandleBatchContract(t *testing.T) {
+	sched := sim.NewScheduler()
+	f, err := topo.NewGridField(25, 5, radio.MICA2())
+	if err != nil {
+		t.Fatalf("NewGridField: %v", err)
+	}
+	nw, err := New(sched, f, sim.NewRNG(1), Config{Sizes: packet.DefaultSizes(), MAC: noBackoff()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	nw.SetProcessingDelay(time.Second)
+	rec := newRecorder(sched, f.N())
+	nw.Bind(rec)
 
-// seqRecorder logs every handler call into a log shared by all receivers.
-type seqRecorder struct {
-	fx  *fixture
-	id  packet.NodeID
-	log *[]handling
-}
+	low := f.Model().MinPower()
+	sends := []packet.Packet{
+		{Kind: packet.ADV, Src: 12, Dst: packet.Broadcast, Level: radio.MaxPower}, // some receivers die
+		{Kind: packet.ADV, Src: 0, Dst: packet.Broadcast, Level: low},             // every receiver dies
+		{Kind: packet.REQ, Src: 24, Dst: 23, Level: low},                          // the receiver lives
+		{Kind: packet.REQ, Src: 20, Dst: 15, Level: low},                          // the receiver dies
+		{Kind: packet.ADV, Src: 4, Dst: packet.Broadcast, Level: low},             // no receiver dies
+	}
+	reached := func(p packet.Packet) []packet.NodeID {
+		if p.Dst == packet.Broadcast {
+			return f.ReachedBy(p.Src, p.Level)
+		}
+		if !f.InRange(p.Src, p.Dst, p.Level) {
+			t.Fatalf("%v: receiver out of range", p)
+		}
+		return []packet.NodeID{p.Dst}
+	}
+	dying := make([]bool, f.N())
+	dying[15] = true
+	for _, id := range f.ReachedBy(0, low) {
+		dying[id] = true
+	}
+	wide := f.ReachedBy(12, radio.MaxPower)
+	dying[wide[len(wide)/2]] = true
 
-func (r *seqRecorder) HandlePacket(p packet.Packet) {
-	*r.log = append(*r.log, handling{node: r.id, seq: p.Meta.Seq, at: r.fx.sched.Now()})
+	want := map[int][]packet.NodeID{} // survivors by transmission
+	for i := range sends {
+		sends[i].Meta.Seq = i
+		var live []packet.NodeID
+		for _, id := range reached(sends[i]) {
+			if !dying[id] {
+				live = append(live, id)
+			}
+		}
+		if len(live) > 0 {
+			want[i] = live
+		}
+	}
+	if n := len(want[0]); n < 2 || n == len(wide) {
+		t.Fatalf("setup: %d of %d zone-wide receivers survive; want several, not all", n, len(wide))
+	}
+
+	// The frames complete within milliseconds; the failures land inside
+	// every (completion, completion+proc) window.
+	sched.AtArg(nw.proc/2, func(uint64) {
+		for id, d := range dying {
+			if d {
+				nw.Fail(packet.NodeID(id))
+			}
+		}
+	}, 0)
+	for _, p := range sends {
+		nw.Send(p)
+	}
+	if err := sched.RunUntilIdle(0); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+
+	if len(rec.batches) != len(want) {
+		t.Fatalf("%d HandleBatch calls, want %d (one per transmission with a live receiver): %v",
+			len(rec.batches), len(want), rec.batches)
+	}
+	for _, b := range rec.batches {
+		w, ok := want[b.p.Meta.Seq]
+		if !ok {
+			t.Fatalf("batch for transmission %d, whose receivers all died: %v", b.p.Meta.Seq, b.to)
+		}
+		if !slices.Equal(b.to, w) {
+			t.Fatalf("transmission %d handed to %v, want the survivors in ReachedBy order %v",
+				b.p.Meta.Seq, b.to, w)
+		}
+		delete(want, b.p.Meta.Seq)
+	}
+	if len(nw.rxq) != 0 || nw.rxHead != 0 {
+		t.Fatalf("receiver FIFO not drained: %d entries, head %d", len(nw.rxq), nw.rxHead)
+	}
 }
 
 // TestSameInstantBatchesKeepCompletionOrder pins the receiver FIFO's order
@@ -196,12 +250,7 @@ func (r *seqRecorder) HandlePacket(p packet.Packet) {
 // completion instant with the completions themselves.
 func TestSameInstantBatchesKeepCompletionOrder(t *testing.T) {
 	for _, proc := range []time.Duration{0, time.Millisecond} {
-		fx := newFixture(t, noBackoff())
-		fx.nw.SetProcessingDelay(proc)
-		var log []handling
-		for i := 0; i < 3; i++ {
-			fx.nw.Bind(packet.NodeID(i), &seqRecorder{fx: fx, id: packet.NodeID(i), log: &log})
-		}
+		fx := deferredFixture(t, proc)
 		var completed []time.Duration
 		fx.nw.SetTrace(func(ev TraceEvent) {
 			if ev.Kind == TraceDeliver {
@@ -228,6 +277,7 @@ func TestSameInstantBatchesKeepCompletionOrder(t *testing.T) {
 				t.Fatalf("proc=%v: deliveries at %v, want one instant", proc, completed)
 			}
 		}
+		log := fx.rec.calls()
 		want := []handling{{0, 0, 0}, {0, 1, 0}, {2, 1, 0}, {2, 2, 0}, {0, 3, 0}, {2, 3, 0}}
 		if len(log) != len(want) {
 			t.Fatalf("proc=%v: handled %v, want %v", proc, log, want)
@@ -258,25 +308,16 @@ func TestSetProcessingDelayAfterSendPanics(t *testing.T) {
 	fx.nw.SetProcessingDelay(time.Millisecond)
 }
 
-// countingRecorder handles packets without retaining them, so the steady
-// state allocates nothing on the receiver side either.
-type countingRecorder struct{ n int }
-
-func (r *countingRecorder) HandlePacket(packet.Packet) { r.n++ }
-
 // TestBatchedDispatchAllocFree is the 0-alloc guard on the batched dispatch
 // path (run in CI): after warmup, a full Send → complete → batched-handler
 // cycle must not allocate — flight slots, the receiver FIFO, and scheduler
 // events are all pooled, and the pre-bound method values avoid the
 // per-packet closures this design replaced.
 func TestBatchedDispatchAllocFree(t *testing.T) {
-	fx := newFixture(t, noBackoff())
-	fx.nw.SetProcessingDelay(time.Millisecond)
-	recs := make([]*countingRecorder, 3)
-	for i := range recs {
-		recs[i] = &countingRecorder{}
-		fx.nw.Bind(packet.NodeID(i), recs[i])
-	}
+	fx := deferredFixture(t, time.Millisecond)
+	fx.rec.quiet = true
+	var handled [3]int
+	fx.rec.react = func(_ packet.Packet, id packet.NodeID) { handled[id]++ }
 	lvl := radio.MaxPower
 	cycle := func() {
 		for i := 0; i < 16; i++ {
@@ -291,30 +332,8 @@ func TestBatchedDispatchAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("steady-state batched dispatch allocated %.1f times per cycle, want 0", allocs)
 	}
-	if recs[0].n == 0 || recs[1].n == 0 {
+	if handled[0] == 0 || handled[1] == 0 {
 		t.Fatal("no deliveries recorded — cycle did not exercise the dispatch path")
-	}
-}
-
-// relay answers every packet it handles with a unicast back to the
-// sender, until the network has sent limit packets in all; it counts the
-// batches that, once consumed, leave the receiver FIFO empty.
-type relay struct {
-	fx     *fixture
-	id     packet.NodeID
-	limit  uint64
-	drains *int
-}
-
-func (r *relay) HandlePacket(p packet.Packet) {
-	nw := r.fx.nw
-	// Mid-batch the head is this run's packet.None terminator; anything
-	// after it is a later transmission's run, still waiting.
-	if len(nw.rxq)-nw.rxHead == 1 {
-		*r.drains++
-	}
-	if nw.Counters().TotalSent() < r.limit {
-		nw.Send(packet.Packet{Kind: packet.ADV, Src: r.id, Dst: p.Src, Level: radio.MaxPower})
 	}
 }
 
@@ -329,11 +348,22 @@ func TestReceiverFIFOReclaimsConsumedPrefix(t *testing.T) {
 		flights = 4
 		limit   = 10000
 	)
-	fx := newFixture(t, noBackoff())
-	fx.nw.SetProcessingDelay(proc)
+	fx := deferredFixture(t, proc)
+	fx.rec.quiet = true
+	// Every handler answers with a unicast back to the sender until limit
+	// packets are sent in all, counting the batches that, once consumed,
+	// leave the receiver FIFO empty: mid-batch the head is past this run's
+	// terminator, and anything after it is a later transmission's run,
+	// still waiting.
 	drains := 0
-	for i := 0; i < 2; i++ {
-		fx.nw.Bind(packet.NodeID(i), &relay{fx: fx, id: packet.NodeID(i), limit: limit, drains: &drains})
+	fx.rec.react = func(p packet.Packet, id packet.NodeID) {
+		nw := fx.nw
+		if nw.rxHead == len(nw.rxq) {
+			drains++
+		}
+		if nw.Counters().TotalSent() < limit {
+			nw.Send(packet.Packet{Kind: packet.ADV, Src: id, Dst: p.Src, Level: radio.MaxPower})
+		}
 	}
 	for i := 0; i < flights; i++ {
 		fx.sched.AtArg(time.Duration(i)*proc/flights, func(uint64) {

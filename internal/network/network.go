@@ -34,10 +34,17 @@ import (
 	"repro/internal/topo"
 )
 
-// Receiver is a per-node protocol instance. HandlePacket runs at delivery
-// time with the scheduler clock set to the delivery instant.
+// Receiver is the protocol side of a network: one per network, attached
+// with Bind. HandleBatch runs once per delivery batch, with the scheduler
+// clock at the transmission's completion plus the processing delay
+// (SetProcessingDelay). to holds the receivers the transmission reached
+// that are still alive, in delivery order (topo.Field.ReachedBy order for a
+// broadcast), and is never empty. to aliases the network's receiver FIFO:
+// it is valid only during the call, and the handlers may only Send, which
+// never appends to that FIFO. p travels by value: a pointer would escape
+// through the interface and cost an allocation per batch.
 type Receiver interface {
-	HandlePacket(p packet.Packet)
+	HandleBatch(p packet.Packet, to []packet.NodeID)
 }
 
 // TraceKind classifies trace events.
@@ -100,13 +107,13 @@ func DefaultConfig() Config {
 // Network is the radio medium plus node liveness. It implements
 // fault.Target so the injector can drive it.
 type Network struct {
-	sched    *sim.Scheduler
-	field    *topo.Field
-	csma     *mac.CSMA
-	rng      *sim.RNG
-	sizes    packet.Sizes
-	alive    []bool
-	handlers []Receiver
+	sched *sim.Scheduler
+	field *topo.Field
+	csma  *mac.CSMA
+	rng   *sim.RNG
+	sizes packet.Sizes
+	alive []bool
+	recv  Receiver
 
 	// busyUntil[i] is the virtual time node i's channel clears: the end of
 	// the latest transmission whose radio range covers node i. Nodes defer
@@ -170,7 +177,6 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 		rng:          rng,
 		sizes:        cfg.Sizes,
 		alive:        alive,
-		handlers:     make([]Receiver, n),
 		busyUntil:    make([]time.Duration, n),
 		carrierSense: cfg.CarrierSense,
 		energy:       metrics.NewEnergyAccount(n),
@@ -186,13 +192,13 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 // SetProcessingDelay sets the receivers' processing delay, zero until set.
 // Every receiver of a completed transmission pays energy, tracing, and
 // liveness checks individually at delivery time T, but the protocol
-// handlers run together in a single event at T+proc — their own event even
-// when proc is zero — with a per-receiver liveness re-check, since a node
-// can fail between delivery and processing. One pooled heap event per
-// transmission instead of one allocated closure per receiver preserves
-// event order exactly: per-receiver events would be scheduled back-to-back
-// with consecutive sequence numbers, so nothing could interleave between
-// them anyway.
+// handles them together in a single event at T+proc — its own event even
+// when proc is zero — with a second liveness check, since a node can fail
+// between delivery and processing. One pooled event per transmission
+// instead of one allocated closure per receiver preserves event order
+// exactly: per-receiver events would be scheduled back-to-back with
+// consecutive sequence numbers, so nothing could interleave between them
+// anyway.
 //
 // proc is fixed before traffic starts: it panics once a transmission has
 // been scheduled. Completions fire in time order and each schedules its
@@ -232,14 +238,13 @@ func (nw *Network) freeFlight(idx uint64) {
 	nw.freeFlights = append(nw.freeFlights, idx)
 }
 
-// Bind attaches the protocol instance for node id. Must be called for every
-// node before traffic flows.
-func (nw *Network) Bind(id packet.NodeID, r Receiver) {
-	nw.check(id)
+// Bind attaches the receiver that handles every delivery batch. Protocol
+// constructors call it once, before traffic flows.
+func (nw *Network) Bind(r Receiver) {
 	if r == nil {
 		panic("network: Bind with nil receiver")
 	}
-	nw.handlers[id] = r
+	nw.recv = r
 }
 
 // Scheduler returns the underlying event kernel (protocols schedule their
@@ -263,7 +268,10 @@ func (nw *Network) Counters() *metrics.Counters { return nw.count }
 func (nw *Network) RNG() *sim.RNG { return nw.rng }
 
 // SetTrace installs a trace callback; pass nil to disable. The callback
-// runs inside the event loop and must not Send.
+// runs inside the event loop and must not Send. TraceTx and TraceDrop can
+// fire inside a delivery batch, whose receivers were checked for liveness
+// before it ran, so a callback may Fail or Recover a node only on
+// TraceDeliver.
 func (nw *Network) SetTrace(fn func(TraceEvent)) { nw.trace = fn }
 
 // emit traces one action on p. The TraceEvent, with its copy of the
@@ -348,8 +356,8 @@ func (nw *Network) Send(p packet.Packet) {
 
 // onComplete finishes the transmission in arena slot arg: verifies the
 // sender survived the airtime, charges energies, and delivers to the
-// recipient set, whose handlers then run in one batched event at +proc,
-// queued on the scheduler's FIFO. The packet is read in place: nothing
+// recipient set, which the receiver then handles in one batched event at
+// +proc, queued on the scheduler's FIFO. The packet is read in place: nothing
 // here can grow the arena.
 func (nw *Network) onComplete(arg uint64) {
 	p := &nw.flights[arg]
@@ -389,8 +397,8 @@ func (nw *Network) onComplete(arg uint64) {
 }
 
 // deliver records the delivery of p to dst at the current (completion)
-// time: liveness check, receive energy rx, trace. The handler call is
-// queued on the receiver FIFO.
+// time: liveness check, receive energy rx, trace. dst is queued on the
+// receiver FIFO for the batch.
 func (nw *Network) deliver(p *packet.Packet, dst packet.NodeID, rx radio.Energy) {
 	if !nw.alive[dst] {
 		nw.count.Drops++
@@ -402,28 +410,37 @@ func (nw *Network) deliver(p *packet.Packet, dst packet.NodeID, rx radio.Energy)
 	nw.rxq = append(nw.rxq, dst)
 }
 
-// onDeliverBatch runs the protocol handlers of the receivers flight arg
-// reached, in delivery order — the run at the head of the receiver FIFO —
-// re-checking liveness: a receiver that failed between delivery and
-// processing silently skips its handler. Handlers may Send, which can move
-// the flight arena, so the packet is copied out once; they never complete
-// a transmission, so the FIFO does not move under the batch.
+// onDeliverBatch hands flight arg's batch to the receiver: the run at the
+// head of the receiver FIFO, with the receivers that failed between
+// delivery and processing dropped. The run is compacted in place, so the
+// receiver reads a prefix of it. Liveness changes only inside scheduled
+// events — the fault injector's fail, repair and recover events, tests'
+// AtArg closures — and in delivery traces (SetTrace), never inside a
+// batch, so filtering the run before the call gives the same result as
+// re-checking each receiver just before its handler. Handlers may Send,
+// which can move the flight arena, so the packet is copied out once; they
+// never complete a transmission, so the FIFO does not move under the
+// batch.
 func (nw *Network) onDeliverBatch(arg uint64) {
+	if nw.recv == nil {
+		panic("network: no receiver bound")
+	}
 	p := nw.flights[arg]
+	start := nw.rxHead
+	k := start
 	for {
 		dst := nw.rxq[nw.rxHead]
 		nw.rxHead++
 		if dst == packet.None {
 			break
 		}
-		if !nw.alive[dst] {
-			continue
+		if nw.alive[dst] {
+			nw.rxq[k] = dst
+			k++
 		}
-		h := nw.handlers[dst]
-		if h == nil {
-			panic(fmt.Sprintf("network: node %d has no bound receiver", dst))
-		}
-		h.HandlePacket(p)
+	}
+	if k > start {
+		nw.recv.HandleBatch(p, nw.rxq[start:k:k])
 	}
 	nw.freeFlight(arg)
 	// Reclaim the consumed prefix: reset when drained, else slide the

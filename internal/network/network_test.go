@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -12,17 +13,78 @@ import (
 	"repro/internal/topo"
 )
 
-// recorder is a Receiver that logs deliveries.
+// recorder is the tests' Receiver. It logs every batch with the time it
+// ran and, per node, the packets handled; a quiet recorder logs nothing,
+// so it allocates nothing. react, when set, runs for each receiver of a
+// batch in order, for handlers that Send.
 type recorder struct {
-	got []packet.Packet
+	sched   *sim.Scheduler
+	quiet   bool
+	got     [][]packet.Packet
+	batches []batch
+	react   func(p packet.Packet, id packet.NodeID)
 }
 
-func (r *recorder) HandlePacket(p packet.Packet) { r.got = append(r.got, p) }
+// batch is one HandleBatch call: the packet, a copy of to, and the time.
+type batch struct {
+	p  packet.Packet
+	to []packet.NodeID
+	at time.Duration
+}
+
+// handling is one node's share of a batch: which node handled which
+// packet, when.
+type handling struct {
+	node packet.NodeID
+	seq  int
+	at   time.Duration
+}
+
+func newRecorder(sched *sim.Scheduler, nodes int) *recorder {
+	return &recorder{sched: sched, got: make([][]packet.Packet, nodes)}
+}
+
+func (r *recorder) HandleBatch(p packet.Packet, to []packet.NodeID) {
+	if !r.quiet {
+		r.batches = append(r.batches, batch{p: p, to: slices.Clone(to), at: r.sched.Now()})
+	}
+	for _, id := range to {
+		if !r.quiet {
+			r.got[id] = append(r.got[id], p)
+		}
+		if r.react != nil {
+			r.react(p, id)
+		}
+	}
+}
+
+// calls flattens the batch log into one handling per receiver, in the
+// order the receivers were handed to the protocol.
+func (r *recorder) calls() []handling {
+	var out []handling
+	for _, b := range r.batches {
+		for _, id := range b.to {
+			out = append(out, handling{node: id, seq: b.p.Meta.Seq, at: b.at})
+		}
+	}
+	return out
+}
+
+// times returns when node id handled each of its packets.
+func (r *recorder) times(id packet.NodeID) []time.Duration {
+	var out []time.Duration
+	for _, c := range r.calls() {
+		if c.node == id {
+			out = append(out, c.at)
+		}
+	}
+	return out
+}
 
 type fixture struct {
 	sched *sim.Scheduler
 	nw    *Network
-	recs  []*recorder
+	rec   *recorder
 }
 
 // newFixture builds a 3-node chain, 5 m apart, MICA2 radio, zero-backoff MAC
@@ -38,12 +100,9 @@ func newFixture(t *testing.T, macCfg mac.Config) *fixture {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	recs := make([]*recorder, 3)
-	for i := range recs {
-		recs[i] = &recorder{}
-		nw.Bind(packet.NodeID(i), recs[i])
-	}
-	return &fixture{sched: sched, nw: nw, recs: recs}
+	rec := newRecorder(sched, 3)
+	nw.Bind(rec)
+	return &fixture{sched: sched, nw: nw, rec: rec}
 }
 
 func noBackoff() mac.Config {
@@ -84,13 +143,13 @@ func TestUnicastDelivery(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 1 {
-		t.Fatalf("node 1 got %d packets, want 1", len(fx.recs[1].got))
+	if len(fx.rec.got[1]) != 1 {
+		t.Fatalf("node 1 got %d packets, want 1", len(fx.rec.got[1]))
 	}
-	if len(fx.recs[0].got) != 0 || len(fx.recs[2].got) != 0 {
+	if len(fx.rec.got[0]) != 0 || len(fx.rec.got[2]) != 0 {
 		t.Fatal("unicast leaked to other nodes")
 	}
-	got := fx.recs[1].got[0]
+	got := fx.rec.got[1][0]
 	if got.Kind != packet.REQ || got.Bytes != 2 {
 		t.Fatalf("delivered packet %v; want REQ with 2 bytes", got)
 	}
@@ -123,8 +182,8 @@ func TestBroadcastReachesLevelRange(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 1 || len(fx.recs[2].got) != 1 {
-		t.Fatalf("broadcast deliveries = %d/%d, want 1/1", len(fx.recs[1].got), len(fx.recs[2].got))
+	if len(fx.rec.got[1]) != 1 || len(fx.rec.got[2]) != 1 {
+		t.Fatalf("broadcast deliveries = %d/%d, want 1/1", len(fx.rec.got[1]), len(fx.rec.got[2]))
 	}
 	// At level 5 (5.48 m) only node 1 is reachable.
 	fx2 := newFixture(t, noBackoff())
@@ -132,7 +191,7 @@ func TestBroadcastReachesLevelRange(t *testing.T) {
 	if err := fx2.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx2.recs[1].got) != 1 || len(fx2.recs[2].got) != 0 {
+	if len(fx2.rec.got[1]) != 1 || len(fx2.rec.got[2]) != 0 {
 		t.Fatal("level-5 broadcast should reach only node 1")
 	}
 }
@@ -178,7 +237,7 @@ func TestDeadSenderDrops(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 0 {
+	if len(fx.rec.got[1]) != 0 {
 		t.Fatal("dead sender delivered a packet")
 	}
 	if fx.nw.Counters().Drops != 1 {
@@ -197,7 +256,7 @@ func TestSenderFailsMidTransmission(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 0 {
+	if len(fx.rec.got[1]) != 0 {
 		t.Fatal("packet delivered despite sender failing mid-tx")
 	}
 	if fx.nw.Energy().Node(0).Tx != 0 {
@@ -212,7 +271,7 @@ func TestDeadReceiverDrops(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 0 {
+	if len(fx.rec.got[1]) != 0 {
 		t.Fatal("dead receiver handled a packet")
 	}
 	// Sender still spent the tx energy (it doesn't know the peer is down).
@@ -232,7 +291,7 @@ func TestRecoveryRestoresDelivery(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 1 {
+	if len(fx.rec.got[1]) != 1 {
 		t.Fatal("recovered node did not receive")
 	}
 }
@@ -244,7 +303,7 @@ func TestOutOfRangeUnicastDrops(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[2].got) != 0 {
+	if len(fx.rec.got[2]) != 0 {
 		t.Fatal("out-of-range unicast delivered")
 	}
 	if fx.nw.Counters().Drops != 1 {
@@ -259,10 +318,10 @@ func TestBroadcastSkipsDeadNodes(t *testing.T) {
 	if err := fx.sched.RunUntilIdle(0); err != nil {
 		t.Fatalf("RunUntilIdle: %v", err)
 	}
-	if len(fx.recs[1].got) != 0 {
+	if len(fx.rec.got[1]) != 0 {
 		t.Fatal("dead node received broadcast")
 	}
-	if len(fx.recs[2].got) != 1 {
+	if len(fx.rec.got[2]) != 1 {
 		t.Fatal("alive node missed broadcast")
 	}
 }
@@ -318,9 +377,7 @@ func TestEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 5; i++ {
-		nw.Bind(packet.NodeID(i), &recorder{})
-	}
+	nw.Bind(newRecorder(sched, 5))
 	m := f.Model()
 	// Rx side: sum the model's receive energy over delivery trace events.
 	var expected float64
@@ -404,11 +461,10 @@ func TestUnboundReceiverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	nw.Bind(0, &recorder{})
 	nw.Send(packet.Packet{Kind: packet.REQ, Src: 0, Dst: 1, Level: 5})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("delivery to unbound node should panic")
+		if r := recover(); r != "network: no receiver bound" {
+			t.Fatalf("batch with no receiver bound: recovered %v, want the no-receiver panic", r)
 		}
 	}()
 	_ = sched.RunUntilIdle(0)
@@ -416,22 +472,12 @@ func TestUnboundReceiverPanics(t *testing.T) {
 
 func TestBindValidation(t *testing.T) {
 	fx := newFixture(t, noBackoff())
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("nil receiver should panic")
-			}
-		}()
-		fx.nw.Bind(0, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil receiver should panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-range bind should panic")
-			}
-		}()
-		fx.nw.Bind(9, &recorder{})
-	}()
+	fx.nw.Bind(nil)
 }
 
 func TestCarrierSenseSerializesOverlappingTransmissions(t *testing.T) {
@@ -448,9 +494,7 @@ func TestCarrierSenseSerializesOverlappingTransmissions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		nw.Bind(packet.NodeID(i), &recorder{})
-	}
+	nw.Bind(newRecorder(sched, 3))
 	var deliveries []time.Duration
 	nw.SetTrace(func(ev TraceEvent) {
 		if ev.Kind == TraceDeliver {
@@ -487,9 +531,7 @@ func TestCarrierSenseSpatialReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 5; i++ {
-		nw.Bind(packet.NodeID(i), &recorder{})
-	}
+	nw.Bind(newRecorder(sched, 5))
 	var deliveries []time.Duration
 	nw.SetTrace(func(ev TraceEvent) {
 		if ev.Kind == TraceDeliver {
@@ -543,9 +585,7 @@ func TestBackoffVariesWithRNG(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		for i := 0; i < 3; i++ {
-			nw.Bind(packet.NodeID(i), &recorder{})
-		}
+		nw.Bind(newRecorder(sched, 3))
 		var at time.Duration
 		nw.SetTrace(func(ev TraceEvent) {
 			if ev.Kind == TraceDeliver {

@@ -187,6 +187,24 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// b2i is 1 for true and 0 for false; the compiler lowers it to a byte
+// zero-extension, not a branch.
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// lessIdx is entryLess(*x, *y) as 0 or 1, computed from SETcc results so
+// that no comparison becomes a conditional jump.
+func lessIdx(x, y *heapEntry) int {
+	return b2i(x.at < y.at) | b2i(x.at == y.at)&b2i(x.seq < y.seq)
+}
+
+// pick returns a when c is 0 and b when c is 1, without a branch.
+func pick(a, b, c int) int { return a ^ (a^b)&-c }
+
 // notePeak raises the pending-set peak after a schedule.
 func (s *Scheduler) notePeak() {
 	if n := s.Len(); n > s.maxHeap {
@@ -234,33 +252,43 @@ func (s *Scheduler) siftUp(i int) {
 	s.arena[e.idx].pos = int32(i)
 }
 
-// siftDown restores heap order from position i toward the leaves.
+// siftDown restores heap order from position i toward the leaves. Which
+// of four children is smallest is data-dependent and unpredictable, so a
+// full group is settled by a three-comparison tournament computed as 0/1
+// integers (lessIdx, pick): the selection compiles to SETcc and masks with
+// no conditional jump to mispredict. (at, seq) is a total order, so the
+// tournament finds the same child as a scan would; the partial last group
+// keeps the scan. The &3 masks let the compiler drop the bounds checks.
 func (s *Scheduler) siftDown(i int) {
-	e := s.heap[i]
-	n := len(s.heap)
+	h := s.heap
+	e := h[i]
+	n := len(h)
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if entryLess(s.heap[c], s.heap[min]) {
-				min = c
+		if first+4 <= n {
+			c := (*[4]heapEntry)(h[first : first+4])
+			a := lessIdx(&c[1], &c[0])
+			b := 2 + lessIdx(&c[3], &c[2])
+			min += pick(a, b, lessIdx(&c[b&3], &c[a&3]))
+		} else {
+			for c := first + 1; c < n; c++ {
+				if entryLess(h[c], h[min]) {
+					min = c
+				}
 			}
 		}
-		if !entryLess(s.heap[min], e) {
+		if !entryLess(h[min], e) {
 			break
 		}
-		s.heap[i] = s.heap[min]
-		s.arena[s.heap[i].idx].pos = int32(i)
+		h[i] = h[min]
+		s.arena[h[i].idx].pos = int32(i)
 		i = min
 	}
-	s.heap[i] = e
+	h[i] = e
 	s.arena[e.idx].pos = int32(i)
 }
 

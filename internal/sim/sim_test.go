@@ -357,6 +357,57 @@ func checkAgainstReference(t *testing.T, trial int64, ops []uint32) {
 	}
 }
 
+// TestHeapOrderAtDepth drives the heap far deeper than the property test:
+// 6 000 pending events, about half of them on four shared instants, so
+// full groups of four children often tie on time and siftDown's
+// tournament must break the tie by seq. A random quarter is then
+// canceled, nearly all from the heap's interior. The dispatch order must
+// equal a stable sort of the surviving events by time, which keeps them
+// in scheduling (seq) order within an instant.
+func TestHeapOrderAtDepth(t *testing.T) {
+	const n = 6000
+	rng := rand.New(rand.NewSource(24))
+	shared := []time.Duration{300, 301, 5000, 9999}
+	s := NewScheduler()
+	var got []int
+	record := ArgHandler(func(arg uint64) { got = append(got, int(arg)) })
+	ats := make([]time.Duration, n)
+	timers := make([]Timer, n)
+	for i := range ats {
+		ats[i] = time.Duration(rng.Intn(10_000))
+		if rng.Intn(2) == 0 {
+			ats[i] = shared[rng.Intn(len(shared))]
+		}
+		timers[i] = s.AtArg(ats[i], record, uint64(i))
+	}
+	canceled := make([]bool, n)
+	for _, i := range rng.Perm(n)[:n/4] {
+		if !timers[i].Cancel() {
+			t.Fatalf("event %d: Cancel of a pending event failed", i)
+		}
+		canceled[i] = true
+	}
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+	var want []int
+	for i, c := range canceled {
+		if !c {
+			want = append(want, i)
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return ats[want[a]] < ats[want[b]] })
+	if s.PeakHeapDepth() != n || len(got) != len(want) {
+		t.Fatalf("peak %d, dispatched %d; want %d, %d", s.PeakHeapDepth(), len(got), n, len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("dispatch %d is event %d at %v, want event %d at %v",
+				k, got[k], ats[got[k]], want[k], ats[want[k]])
+		}
+	}
+}
+
 // TestSchedulerCancelIsEager checks that Cancel removes the event from the
 // pending set immediately and that the heap stays consistent under random
 // interleaved schedules and cancels.

@@ -50,7 +50,10 @@ type System struct {
 	pendingFn sim.ArgHandler
 }
 
-var _ dissem.Protocol = (*System)(nil)
+var (
+	_ dissem.Protocol  = (*System)(nil)
+	_ network.Receiver = (*System)(nil)
+)
 
 // NewSystem builds the protocol instances and binds them to the network.
 func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Interest, cfg Config) (*System, error) {
@@ -74,11 +77,9 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	// per-node state is a flat array walk rather than a pointer chase.
 	s.nodes = make([]node, nw.N())
 	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.sys = s
-		n.id = packet.NodeID(i)
-		nw.Bind(n.id, n)
+		s.nodes[i] = node{sys: s, id: packet.NodeID(i)}
 	}
+	nw.Bind(s)
 	return s, nil
 }
 
@@ -167,32 +168,38 @@ func (n *node) setHas(it int) {
 	n.has[it] = true
 }
 
-var _ network.Receiver = (*node)(nil)
-
-// HandlePacket runs the protocol reaction to p. The paper's explicit Tproc
-// term ("this eliminates the unrealistic simplification in the SPIN
-// simulations where the data is taken to be processed instantaneously") is
-// applied by the network's batched dispatch (SetProcessingDelay in
-// NewSystem), which also re-checks liveness before calling here.
-func (n *node) HandlePacket(p packet.Packet) {
-	it := n.sys.ledger.Index(p.Meta)
+// HandleBatch implements network.Receiver: it runs the protocol reaction
+// to p at every node in to. The paper's explicit Tproc term ("this
+// eliminates the unrealistic simplification in the SPIN simulations where
+// the data is taken to be processed instantaneously") is applied by the
+// network's batched dispatch (SetProcessingDelay in NewSystem), which also
+// drops receivers that failed before processing. The item index and the
+// kind are resolved once per batch, as in internal/core.
+func (s *System) HandleBatch(p packet.Packet, to []packet.NodeID) {
+	it := s.ledger.Index(p.Meta)
 	switch p.Kind {
 	case packet.ADV:
-		n.onADV(p, it)
+		for _, id := range to {
+			s.nodes[id].onADV(&p, it)
+		}
 	case packet.REQ:
-		n.onREQ(p, it)
+		for _, id := range to {
+			s.nodes[id].onREQ(&p, it)
+		}
 	case packet.DATA:
-		n.onDATA(p, it)
+		for _, id := range to {
+			s.nodes[id].onDATA(&p, it)
+		}
 	default:
 		// SPIN has no other traffic; CTRL packets would indicate a
 		// miswired experiment.
-		panic(fmt.Sprintf("spin: node %d received unexpected %v", n.id, p.Kind))
+		panic(fmt.Sprintf("spin: node %d received unexpected %v", to[0], p.Kind))
 	}
 }
 
 // onADV requests advertised data the node needs and is not already waiting
 // for.
-func (n *node) onADV(p packet.Packet, it int) {
+func (n *node) onADV(p *packet.Packet, it int) {
 	d := p.Meta
 	if n.hasItem(it) || !n.sys.interest(n.id, d) {
 		return
@@ -225,7 +232,7 @@ func (s *System) onPendingExpired(arg uint64) {
 }
 
 // onREQ serves data the node holds.
-func (n *node) onREQ(p packet.Packet, it int) {
+func (n *node) onREQ(p *packet.Packet, it int) {
 	d := p.Meta
 	if !n.hasItem(it) {
 		n.sys.nw.Counters().Drops++
@@ -243,7 +250,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 }
 
 // onDATA stores and re-advertises newly received data.
-func (n *node) onDATA(p packet.Packet, it int) {
+func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
 	if it >= 0 && it < len(n.pending) {
 		n.pending[it].Cancel()

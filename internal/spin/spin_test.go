@@ -281,6 +281,7 @@ func TestPendingRequestState(t *testing.T) {
 	}
 	it := fx.ledger.Index(d)
 	n := &fx.sys.nodes[1]
+	to := []packet.NodeID{n.id}
 	adv := packet.Packet{Kind: packet.ADV, Meta: d, Src: 0, Dst: packet.Broadcast, Level: radio.MaxPower}
 	reqs := func() uint64 { return fx.nw.Counters().Sent[packet.REQ] }
 	pending := func(when string, want bool) sim.Timer {
@@ -292,12 +293,12 @@ func TestPendingRequestState(t *testing.T) {
 		return h
 	}
 
-	n.HandlePacket(adv)
+	fx.sys.HandleBatch(adv, to)
 	if reqs() != 1 {
 		t.Fatalf("first ADV sent %d REQs, want 1", reqs())
 	}
 	first := pending("after the first ADV", true)
-	n.HandlePacket(adv)
+	fx.sys.HandleBatch(adv, to)
 	if reqs() != 1 {
 		t.Fatalf("ADV while pending sent %d REQs, want still 1", reqs())
 	}
@@ -308,14 +309,14 @@ func TestPendingRequestState(t *testing.T) {
 		t.Fatalf("expired handle Active %v, timeouts %d; want false, 1", first.Active(), fx.nw.Counters().Timeouts)
 	}
 
-	n.HandlePacket(adv)
+	fx.sys.HandleBatch(adv, to)
 	if reqs() != 2 {
 		t.Fatalf("ADV after expiry sent %d REQs in all, want 2", reqs())
 	}
 	second := pending("after the ADV past expiry", true)
 
-	n.HandlePacket(packet.Packet{Kind: packet.DATA, Meta: d, Src: 0, Dst: 1, Requester: 1, Provider: 0,
-		Level: radio.MaxPower})
+	fx.sys.HandleBatch(packet.Packet{Kind: packet.DATA, Meta: d, Src: 0, Dst: 1, Requester: 1, Provider: 0,
+		Level: radio.MaxPower}, to)
 	pending("after DATA", false)
 	if second.Active() {
 		t.Fatal("DATA left the pending timer scheduled")
