@@ -363,10 +363,10 @@ func (n *node) grow(it int) {
 	if it < len(n.has) {
 		return
 	}
-	c := n.sys.ledger.Originated()
-	n.has = dissem.GrowItems(n.has, it, c)
-	n.advertised = dissem.GrowItems(n.advertised, it, c)
-	n.want = dissem.GrowItems(n.want, it, c)
+	l := n.sys.ledger
+	n.has = dissem.GrowItems(n.has, it, l)
+	n.advertised = dissem.GrowItems(n.advertised, it, l)
+	n.want = dissem.GrowItems(n.want, it, l)
 }
 
 // setHas marks item it as held. Unregistered items (it < 0) have no slot

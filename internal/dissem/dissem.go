@@ -53,6 +53,7 @@ type Ledger struct {
 	born      []time.Duration // per item index: origination time
 	delivered [][]uint64      // per item index: bitset over node ids
 	count     int             // distinct (node, item) deliveries
+	reserved  int             // items the run may originate (Reserve)
 	delays    *metrics.DelayStats
 }
 
@@ -179,23 +180,22 @@ func (l *Ledger) WasDelivered(node packet.NodeID, d packet.DataID) bool {
 // Deliveries returns the number of distinct (node, data) deliveries.
 func (l *Ledger) Deliveries() int { return l.count }
 
+// Reserve records, before traffic starts, how many items the run may
+// originate, so GrowItems sizes per-item state once, at that count, on a
+// node's first touch rather than doubling towards it. It allocates
+// nothing itself.
+func (l *Ledger) Reserve(items int) { l.reserved = items }
+
 // GrowItems extends a per-item protocol state slice to cover item index it:
-// at least to originated (the ledger's current item count — every valid
-// index is below it), doubling so repeated growth over a run's originations
-// stays amortized. The one growth policy shared by every protocol keeping
-// ledger-indexed state.
-func GrowItems[T any](s []T, it, originated int) []T {
-	need := it + 1
-	if need <= len(s) {
+// at least to the ledger's current item count (every valid index is below
+// it) or its reserved count (Reserve), whichever is larger, doubling so
+// repeated growth over a run's originations stays amortized. The one growth
+// policy shared by every protocol keeping ledger-indexed state.
+func GrowItems[T any](s []T, it int, l *Ledger) []T {
+	if it < len(s) {
 		return s
 	}
-	if need < originated {
-		need = originated
-	}
-	if d := 2 * len(s); need < d {
-		need = d
-	}
-	ns := make([]T, need)
+	ns := make([]T, max(it+1, l.Originated(), l.reserved, 2*len(s)))
 	copy(ns, s)
 	return ns
 }

@@ -295,3 +295,30 @@ func TestLedgerProbeWrapsAround(t *testing.T) {
 		t.Fatalf("Index(%v) = %d for a never-originated id, want -1", ids[3], got)
 	}
 }
+
+// TestGrowItemsSizesFromReserve pins the growth policy: without a
+// reservation a slice grows to cover the originated items, doubling; with
+// one (Ledger.Reserve) it is allocated once, at the reserved size, on its
+// first touch.
+func TestGrowItemsSizesFromReserve(t *testing.T) {
+	l := NewLedger()
+	for seq := 0; seq < 3; seq++ {
+		if err := l.Originate(packet.DataID{Origin: 1, Seq: seq}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := GrowItems([]bool(nil), 0, l)
+	if len(s) != 3 {
+		t.Fatalf("unreserved first touch: len %d, want the 3 originated items", len(s))
+	}
+	if s = GrowItems(s, 3, l); len(s) != 6 {
+		t.Fatalf("unreserved growth past the originated items: len %d, want 6 (doubled)", len(s))
+	}
+	l.Reserve(100)
+	if r := GrowItems([]bool(nil), 0, l); len(r) != 100 {
+		t.Fatalf("reserved first touch: len %d, want 100", len(r))
+	}
+	if r := GrowItems(s, 5, l); len(r) != len(s) || &r[0] != &s[0] {
+		t.Fatal("a slice that already covers the item was reallocated")
+	}
+}

@@ -8,12 +8,17 @@ package experiment
 // parallel-kernel job additionally runs this file under -race.
 
 import (
+	"bytes"
 	"encoding/json"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/network"
+	"repro/internal/radio"
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 var determinismWorkerCounts = []int{1, 2, 4, 7}
@@ -106,4 +111,71 @@ func TestSimWorkersInvariantWaypoint(t *testing.T) {
 		Seed:             3,
 		Drain:            2 * time.Second,
 	})
+}
+
+// TestRunIndependentOfPriorRuns is the recycling contract (DESIGN.md
+// §5.1): a run's Result and trace do not depend on what ran before it in
+// the process, although each run takes the event and flight arrays the
+// previous one released. A 25-node SPIN scenario runs three ways: on
+// fresh arrays, after a 169-node SPMS run with failures (whose fault
+// clocks are still pending at its horizon), and after itself.
+func TestRunIndependentOfPriorRuns(t *testing.T) {
+	sc := Scenario{
+		Protocol:       SPIN,
+		Workload:       AllToAll,
+		Nodes:          25,
+		ZoneRadius:     20,
+		PacketsPerNode: 2,
+		Failures:       true,
+		FailureCfg:     fault.DefaultConfig(),
+		Seed:           5,
+		Drain:          time.Second,
+	}
+	holdSpares(t)
+	freshTrace, freshRes := traceRun(t, sc, 1)
+	fresh, err := json.Marshal(freshRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, before := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"after a 169-node SPMS run", Scenario{
+			Protocol: SPMS, Workload: AllToAll, Nodes: 169, ZoneRadius: 20, PacketsPerNode: 1,
+			Failures: true, FailureCfg: fault.DefaultConfig(), Seed: 1,
+		}},
+		{"after itself", sc},
+	} {
+		if _, err := RunWith(before.sc, RunConfig{}); err != nil {
+			t.Fatalf("%s: RunWith: %v", before.name, err)
+		}
+		trace, res := traceRun(t, sc, 1)
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(trace, freshTrace) || !bytes.Equal(got, fresh) {
+			t.Fatalf("%s: trace equal %v, result %s; fresh result %s",
+				before.name, bytes.Equal(trace, freshTrace), got, fresh)
+		}
+	}
+}
+
+// holdSpares takes the arrays a released run left in each recycler and
+// keeps them until the test ends, so the next run allocates afresh. This
+// package's tests run one scenario at a time, so each recycler holds at
+// most one set.
+func holdSpares(t *testing.T) {
+	t.Helper()
+	field, err := topo.NewChainField(2, 5, radio.MICA2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	nw, err := network.New(sched, field, sim.NewRNG(1), network.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { runtime.KeepAlive(nw) })
 }

@@ -514,6 +514,7 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	ledger.Reserve(gen.Items())
 
 	var (
 		proto  dissem.Protocol
@@ -593,6 +594,10 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 	if injector != nil {
 		res.FailuresInjected = injector.Stats().Injected
 	}
+	// The run is over and read: its event and flight arrays go to the next
+	// run in the process (DESIGN.md §3), outside the observed wall time.
+	sched.Release()
+	nw.Release()
 	return res, nil
 }
 

@@ -100,7 +100,7 @@ func (n *node) setSeen(it int) {
 	if it < 0 {
 		return
 	}
-	n.seen = dissem.GrowItems(n.seen, it, n.sys.ledger.Originated())
+	n.seen = dissem.GrowItems(n.seen, it, n.sys.ledger)
 	n.seen[it] = true
 }
 

@@ -123,15 +123,7 @@ type DelayStats struct {
 	sum     time.Duration
 	min     time.Duration
 	max     time.Duration
-
-	// sorted caches the sorted copy Percentile ranks into; dirty marks it
-	// stale. Percentile is called once per delay metric per sweep point
-	// (mean/p95/max aggregation paths), so re-sorting the full sample set
-	// on every call was an O(n log n) tax paid several times per point —
-	// now paid once per Record burst. The backing array is reused across
-	// invalidations.
-	sorted []time.Duration
-	dirty  bool
+	dirty   bool // a Record since Percentile last sorted samples
 }
 
 // NewDelayStats returns an empty sample set.
@@ -181,10 +173,10 @@ func (d *DelayStats) Max() time.Duration {
 	return d.max
 }
 
-// Percentile returns the p-th percentile (0 < p ≤ 100) by nearest-rank on
-// a sorted copy, or 0 with no samples. The sorted copy is cached and
-// invalidated by Record, so repeated percentile queries between recordings
-// sort at most once.
+// Percentile returns the p-th percentile (0 < p ≤ 100) by nearest-rank,
+// or 0 with no samples. Nothing reads the samples in insertion order, so
+// it sorts them in place, once per Record burst: repeated queries between
+// recordings sort at most once and copy nothing.
 func (d *DelayStats) Percentile(p float64) time.Duration {
 	if len(d.samples) == 0 || p <= 0 {
 		return 0
@@ -192,16 +184,15 @@ func (d *DelayStats) Percentile(p float64) time.Duration {
 	if p > 100 {
 		p = 100
 	}
-	if d.dirty || len(d.sorted) != len(d.samples) {
-		d.sorted = append(d.sorted[:0], d.samples...)
-		slices.Sort(d.sorted)
+	if d.dirty {
+		slices.Sort(d.samples)
 		d.dirty = false
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(d.sorted))))
+	rank := int(math.Ceil(p / 100 * float64(len(d.samples))))
 	if rank < 1 {
 		rank = 1
 	}
-	return d.sorted[rank-1]
+	return d.samples[rank-1]
 }
 
 // Counters tallies protocol events. Tests assert on these to verify the

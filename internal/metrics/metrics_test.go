@@ -180,9 +180,9 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// naivePercentile is the pre-cache implementation: sort a fresh copy on
-// every call. The cached Percentile must agree with it across interleaved
-// Record/query sequences — the regression test for the sort-once cache.
+// naivePercentile is the reference implementation: sort a fresh copy on
+// every call. Percentile, which sorts the samples in place once per Record
+// burst, must agree with it across interleaved Record/query sequences.
 func naivePercentile(samples []time.Duration, p float64) time.Duration {
 	if len(samples) == 0 || p <= 0 {
 		return 0
@@ -206,7 +206,7 @@ func TestDelayStatsPercentileCacheInvalidation(t *testing.T) {
 	ps := []float64{1, 25, 50, 90, 95, 99, 100}
 	// Interleave recording bursts with repeated queries: every query after
 	// a Record must see the new sample, and repeated queries without an
-	// intervening Record must keep agreeing (the cached path).
+	// intervening Record must keep agreeing (the already-sorted path).
 	for burst := 0; burst < 20; burst++ {
 		for i := 0; i < 1+rng.Intn(50); i++ {
 			v := time.Duration(rng.Intn(1_000_000)) * time.Microsecond
@@ -219,28 +219,28 @@ func TestDelayStatsPercentileCacheInvalidation(t *testing.T) {
 				t.Fatalf("burst %d: Percentile(%v) = %v, want %v (n=%d)", burst, p, got, want, len(raw))
 			}
 			if got := d.Percentile(p); got != want {
-				t.Fatalf("burst %d: cached re-query Percentile(%v) = %v, want %v", burst, p, got, want)
+				t.Fatalf("burst %d: re-query Percentile(%v) = %v, want %v", burst, p, got, want)
 			}
 		}
 	}
 }
 
 // TestDelayStatsPercentileSortsOnce pins the optimization itself: repeated
-// percentile queries without intervening records must not re-sort (0 allocs
-// after the first call builds the cache).
+// percentile queries without intervening records must not re-sort, and
+// sorting in place allocates nothing.
 func TestDelayStatsPercentileSortsOnce(t *testing.T) {
 	d := NewDelayStats()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 10_000; i++ {
 		d.Record(time.Duration(rng.Intn(1_000_000)) * time.Microsecond)
 	}
-	d.Percentile(50) // build the cache
+	d.Percentile(50) // sort
 	allocs := testing.AllocsPerRun(100, func() {
 		d.Percentile(95)
 		d.Percentile(99)
 		d.Percentile(50)
 	})
 	if allocs != 0 {
-		t.Fatalf("cached Percentile allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("Percentile allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -182,11 +182,39 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 		energy:       metrics.NewEnergyAccount(n),
 		count:        metrics.NewCounters(),
 	}
+	// A released network's arrays come back at length zero (Release).
+	if a, ok := spares.Get(); ok {
+		nw.flights, nw.freeFlights, nw.rxq = a.flights, a.freeFlights, a.rxq
+	}
 	// Method values allocate at each evaluation; binding them once here
 	// keeps the per-transmission scheduling path allocation-free.
 	nw.completeFn = nw.onComplete
 	nw.deliverFn = nw.onDeliverBatch
 	return nw, nil
+}
+
+// flightArrays is the set of backing arrays a network recycles across runs:
+// the flight arena, its free list and the receiver FIFO.
+type flightArrays struct {
+	flights     []packet.Packet
+	freeFlights []uint64
+	rxq         []packet.NodeID
+}
+
+// spares holds the arrays of released networks.
+var spares sim.Recycler[flightArrays]
+
+// Release ends the network's run and hands its flight arena, free-flight
+// list and receiver FIFO to the next New, as sim.Scheduler.Release does
+// for the event arrays. The packets still in flight are dropped: their
+// slots are cleared, so the spare arrays pin nothing of this run. The
+// network keeps its counters and energy account but no arrays, so a Send
+// on it allocates afresh, never into arrays another network now owns.
+// Call it once the run's results have been read.
+func (nw *Network) Release() {
+	clear(nw.flights)
+	spares.Put(flightArrays{flights: nw.flights[:0], freeFlights: nw.freeFlights[:0], rxq: nw.rxq[:0]})
+	nw.flights, nw.freeFlights, nw.rxq, nw.rxHead = nil, nil, nil, 0
 }
 
 // SetProcessingDelay sets the receivers' processing delay, zero until set.

@@ -20,6 +20,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -62,9 +63,11 @@ type Timer struct {
 }
 
 // live reports whether the handle still names a pending event: the slot is
-// occupied and holds the exact event this handle was issued for.
+// occupied and holds the exact event this handle was issued for. A handle
+// whose scheduler has been released (Release) finds no slot, since its
+// pending events were dropped with the arrays.
 func (t Timer) live() bool {
-	if t.s == nil {
+	if t.s == nil || int(t.idx) >= len(t.s.arena) {
 		return false
 	}
 	ev := &t.s.arena[t.idx]
@@ -130,9 +133,71 @@ type Scheduler struct {
 	maxHeap int
 }
 
-// NewScheduler returns an empty scheduler with the clock at zero.
+// arrays is the set of backing arrays a scheduler recycles across runs.
+type arrays struct {
+	arena []event
+	free  []int32
+	heap  []heapEntry
+	fifo  []heapEntry
+}
+
+// spares holds the arrays of released schedulers (Release).
+var spares Recycler[arrays]
+
+// NewScheduler returns an empty scheduler with the clock at zero. It takes
+// the backing arrays of a released scheduler when one is spare, at length
+// zero, so a process that runs trial after trial grows its event arena,
+// heap and FIFO once rather than once per run.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	s := &Scheduler{}
+	if a, ok := spares.Get(); ok {
+		s.arena, s.free, s.heap, s.fifo = a.arena, a.free, a.heap, a.fifo
+	}
+	return s
+}
+
+// Release ends the scheduler's run and hands its backing arrays to the next
+// NewScheduler. The events still pending are dropped: their slots are
+// cleared, so the spare arrays pin no handler of this run. The scheduler
+// keeps its clock and counters but no arrays: its Timers become inert, and
+// scheduling on it again allocates afresh, never into arrays another
+// scheduler now owns. Call it once the run's results have been read.
+func (s *Scheduler) Release() {
+	clear(s.arena)
+	spares.Put(arrays{arena: s.arena[:0], free: s.free[:0], heap: s.heap[:0], fifo: s.fifo[:0]})
+	s.arena, s.free, s.heap, s.fifo, s.fifoHead = nil, nil, nil, nil, 0
+}
+
+// Recycler is a mutex-guarded LIFO stack of spare backing-array sets,
+// shared by every run in the process. A run takes a set when it starts and
+// gives it back when it ends, so the stack never holds more sets than runs
+// were ever in flight at once. Unlike a sync.Pool it keeps its sets across
+// garbage collections and hands a set back whichever goroutine, and
+// processor, asks.
+type Recycler[T any] struct {
+	mu   sync.Mutex
+	sets []T
+}
+
+// Put pushes a spare set.
+func (r *Recycler[T]) Put(set T) {
+	r.mu.Lock()
+	r.sets = append(r.sets, set)
+	r.mu.Unlock()
+}
+
+// Get pops the most recently put set; ok is false when none is spare.
+func (r *Recycler[T]) Get() (set T, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.sets)
+	if n == 0 {
+		return set, false
+	}
+	set = r.sets[n-1]
+	clear(r.sets[n-1:]) // the stack must not pin a set it handed out
+	r.sets = r.sets[:n-1]
+	return set, true
 }
 
 // Now returns the current virtual time.

@@ -273,15 +273,15 @@ func TestSchedulerOrderProperty(t *testing.T) {
 		for i := range ops {
 			ops[i] = rng.Uint32()
 		}
-		checkAgainstReference(t, trial, ops)
+		checkAgainstReference(t, trial, NewScheduler(), ops)
 	}
 }
 
-// checkAgainstReference runs one op sequence: the low two bits of an op
-// pick AtArg, AtFIFO, Cancel or Run, the rest its time offset or target.
-func checkAgainstReference(t *testing.T, trial int64, ops []uint32) {
+// checkAgainstReference runs one op sequence on s, a scheduler nothing has
+// been scheduled on: the low two bits of an op pick AtArg, AtFIFO, Cancel
+// or Run, the rest its time offset or target.
+func checkAgainstReference(t *testing.T, trial int64, s *Scheduler, ops []uint32) {
 	t.Helper()
-	s := NewScheduler()
 	type ref struct {
 		at      time.Duration
 		timer   Timer

@@ -152,10 +152,10 @@ func (n *node) grow(it int) {
 	if it < len(n.has) {
 		return
 	}
-	c := n.sys.ledger.Originated()
-	n.has = dissem.GrowItems(n.has, it, c)
-	n.advertised = dissem.GrowItems(n.advertised, it, c)
-	n.pending = dissem.GrowItems(n.pending, it, c)
+	l := n.sys.ledger
+	n.has = dissem.GrowItems(n.has, it, l)
+	n.advertised = dissem.GrowItems(n.advertised, it, l)
+	n.pending = dissem.GrowItems(n.pending, it, l)
 }
 
 // setHas marks item it as held (no-op for unregistered items, which can
