@@ -106,17 +106,18 @@ type Tables struct {
 	hops []int32   // row-major n×n: hops on that path (-1 if none)
 	next []int32   // row-major n×n: NextHop's cache, 0 until read, then -1 (no route) or hop+1
 
-	// adj is the graph the tables were computed on; k, the alternatives a
-	// pair keeps, is capped at its largest degree. top is NextHop's scratch
-	// of capacity k, as Routes derives, so that NextHop is Routes' entry 0
-	// even on costs where approxEqual is not transitive.
+	// adj is the graph the tables were computed on. top is NextHop's
+	// scratch; its capacity is k, the alternatives a pair keeps, capped at
+	// the graph's largest degree. Routes derives at the same capacity, so
+	// NextHop is Routes' entry 0 even on costs where approxEqual is not
+	// transitive.
 	adj [][]Edge
-	k   int
 	top []Entry
 
 	rounds        int
 	broadcasts    int
 	perNodeBcasts []int
+	relaxTests    int // candidates relax compared, summed over rounds
 }
 
 // vecEntry is one distance-vector entry as a node broadcasts it.
@@ -196,6 +197,10 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 				anyChanged = true
 				t.broadcasts++
 				t.perNodeBcasts[i]++
+				// Every row with an edge to i relaxes i's snapshot. The
+				// graph is symmetric (both ends of a pair test the same
+				// distance), so i's in-degree is len(g.adj[i]).
+				t.relaxTests += len(pub[i]) * len(g.adj[i])
 			}
 		}
 		if !anyChanged {
@@ -208,7 +213,7 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 				dist, hops, dirt := t.dist[i*n:(i+1)*n], t.hops[i*n:(i+1)*n], dirty[i*n:(i+1)*n]
 				changed := chg[i][:0]
 				for _, e := range g.adj[i] {
-					changed = relax(dist, hops, dirt, changed, int32(i), e.WeightMW, pub[e.To])
+					changed = relax(dist, hops, dirt, changed, e.WeightMW, pub[e.To])
 				}
 				chg[i] = changed
 			}
@@ -226,32 +231,37 @@ func ComputeWorkers(g *Graph, k, workers int) *Tables {
 		})
 	}
 
+	degree := 0
 	for _, adj := range g.adj {
-		t.k = max(t.k, min(k, len(adj)))
+		degree = max(degree, len(adj))
 	}
-	t.adj, t.next, t.top = g.adj, make([]int32, n*n), make([]Entry, 0, t.k)
+	t.adj, t.next, t.top = g.adj, make([]int32, n*n), make([]Entry, 0, min(k, degree))
 	return t
 }
 
-// relax offers node self, whose row is dist/hops, the entries one neighbor
+// relax offers a node, whose row is dist/hops, the entries one neighbor
 // published, reached over a link of weight w. It returns changed extended
-// by each destination that improved for the first time this round. It is
-// a function of its own, not part of the kernel closure, so that its loop
-// state stays in registers. The relax test is the dense kernel's cost
-// test, float expression for float expression. The dense kernel's second
-// clause — an equal cost over fewer hops — cannot fire in rounds that
-// start from scratch (DESIGN.md §8), so it is not repeated here. Self's
-// own entry (0 cost, 0 hops) can never pass the test with positive link
-// weights, so the skip sits after it, off the hot path.
-func relax(dist []float64, hops []int32, dirty []bool, changed []int32, self int32, w float64, snap []vecEntry) []int32 {
+// by each destination that improved for the first time this round. The
+// relax test is the dense kernel's cost test, float expression for float
+// expression. The dense kernel's second clause — an equal cost over fewer
+// hops — cannot fire in rounds that start from scratch (DESIGN.md §8), so
+// it is not repeated here. Nor is a skip of the node's own entry: link
+// weights are radio powers, never negative, so a candidate w + v.cost ≥ 0
+// cannot undercut the node's own cost of 0 by costEpsilon.
+//
+// relax stays out of line, so that its loop state lives in registers. The
+// compiler inlines any function whose cost is at most 80, and relax's is
+// below that; inlined into ComputeWorkers' round closure, the loop spills
+// its state to the stack and reloads it on every rejected test, and about
+// 97% of the tests on the paper's grids are rejected (DESIGN.md §8).
+//
+//go:noinline
+func relax(dist []float64, hops []int32, dirty []bool, changed []int32, w float64, snap []vecEntry) []int32 {
 	hops, dirty = hops[:len(dist)], dirty[:len(dist)] // one bounds check on d covers all three rows
 	for _, v := range snap {
 		d := v.dest
 		cand, h := w+v.cost, 1+v.hops
 		if cand < dist[d]-costEpsilon {
-			if d == self {
-				continue
-			}
 			dist[d], hops[d] = cand, h
 			if !dirty[d] {
 				dirty[d] = true
@@ -351,7 +361,7 @@ func (t *Tables) check(id packet.NodeID) {
 func (t *Tables) Routes(src, dst packet.NodeID) []Entry {
 	t.check(src)
 	t.check(dst)
-	return t.derive(make([]Entry, 0, t.k), int(src), int(dst))
+	return t.derive(make([]Entry, 0, cap(t.top)), int(src), int(dst))
 }
 
 // NextHop returns the primary next hop for src→dst, entry 0 of Routes,
@@ -435,10 +445,7 @@ func ChargeConvergenceEnergy(t *Tables, f *topo.Field, sizes packet.Sizes, acct 
 	m := f.Model()
 	for i := 0; i < t.n; i++ {
 		id := packet.NodeID(i)
-		b := t.perNodeBcasts[i]
-		if b == 0 {
-			continue
-		}
+		b := t.perNodeBcasts[i] // ≥ 1: round 0 is every node's broadcast
 		neighbors := f.ZoneNeighbors(id)
 		vectorBytes := CtrlEntryBytes * (1 + len(neighbors))
 		if base := sizes.Of(packet.CTRL); vectorBytes < base {

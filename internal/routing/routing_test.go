@@ -384,28 +384,31 @@ func TestConvergenceRoundsBounded(t *testing.T) {
 	}
 }
 
-// TestDBFCountsPinned pins the DBF's deterministic rounds and broadcasts
-// on BenchmarkDBFCompute's fields at the paper's 5 m spacing and 20 m zone
-// radius: the 169-node grid, the 225-node grid, and that grid after a 5%
-// relocation. If a count moves, the DBF's update semantics changed.
+// TestDBFCountsPinned pins the DBF's deterministic rounds, broadcasts and
+// relax tests on BenchmarkDBFCompute's fields at the paper's 5 m spacing
+// and 20 m zone radius: the 169-node grid, the 225-node grid, and that grid
+// after a 5% relocation. If rounds or broadcasts move, the DBF's update
+// semantics changed; if only the relax tests move, the kernel does more or
+// less work for the same tables (the dense kernel made 36.8 M tests on
+// grid-225).
 func TestDBFCountsPinned(t *testing.T) {
 	for _, c := range []struct {
-		name               string
-		n                  int
-		relocate           float64
-		rounds, broadcasts int
+		name                      string
+		n                         int
+		relocate                  float64
+		rounds, broadcasts, tests int
 	}{
-		{"grid-169", 169, 0, 25, 3289},
-		{"grid-225", 225, 0, 29, 5055},
-		{"grid-225-relocated", 225, 0.05, 30, 5169},
+		{"grid-169", 169, 0, 25, 3289, 7259084},
+		{"grid-225", 225, 0, 29, 5055, 15369444},
+		{"grid-225-relocated", 225, 0.05, 30, 5169, 15285000},
 	} {
 		f := gridField(t, c.n, 5, 20)
 		f.RelocateFraction(c.relocate, sim.NewRNG(1))
 		for _, w := range []int{1, 4} {
 			tbl := ComputeWorkers(BuildGraphWorkers(f, w), DefaultAlternatives, w)
-			if tbl.Rounds() != c.rounds || tbl.Broadcasts() != c.broadcasts {
-				t.Errorf("%s workers=%d: rounds/broadcasts %d/%d, want %d/%d",
-					c.name, w, tbl.Rounds(), tbl.Broadcasts(), c.rounds, c.broadcasts)
+			if tbl.Rounds() != c.rounds || tbl.Broadcasts() != c.broadcasts || tbl.relaxTests != c.tests {
+				t.Errorf("%s workers=%d: rounds/broadcasts/relax tests %d/%d/%d, want %d/%d/%d",
+					c.name, w, tbl.Rounds(), tbl.Broadcasts(), tbl.relaxTests, c.rounds, c.broadcasts, c.tests)
 			}
 		}
 	}
@@ -415,9 +418,10 @@ func TestDBFCountsPinned(t *testing.T) {
 // convergence at the paper's 20 m zone radius: the standard 169-node field,
 // the largest 225-node grid, and that grid after a 5% relocation — the
 // recompute every §5.1.3 mobility event pays. Routes are derived on read,
-// so this times the DBF alone. The rounds and broadcasts metrics are
-// deterministic (TestDBFCountsPinned); if either moves, the routing
-// semantics changed.
+// so this times the DBF alone. The rounds, broadcasts and relax-tests
+// metrics are deterministic (TestDBFCountsPinned); if rounds or broadcasts
+// move, the routing semantics changed, and if relax-tests moves, the
+// kernel's work did.
 func BenchmarkDBFCompute(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
@@ -440,6 +444,7 @@ func BenchmarkDBFCompute(b *testing.B) {
 			}
 			b.ReportMetric(float64(tbl.Rounds()), "rounds")
 			b.ReportMetric(float64(tbl.Broadcasts()), "broadcasts")
+			b.ReportMetric(float64(tbl.relaxTests), "relax-tests")
 		})
 	}
 }

@@ -294,6 +294,14 @@ func (f *Field) MaxContenders(l radio.Level) int {
 // of p and returns how many there were. The count is branch-free: on a
 // uniform field about a third of the candidates are in range, too
 // unpredictable for a branch.
+//
+// countInRange stays out of line, so that its running count lives in a
+// register. The compiler inlines any function whose cost is at most 80,
+// and countInRange's is below that; inlined twice into MaxContenders, the
+// first copy keeps its count in a stack slot and loads, adds and stores it
+// for every candidate.
+//
+//go:noinline
 func countInRange(p geom.Point, r2 float64, xs, ys []float64, cnt []int32) int32 {
 	ys = ys[:len(xs)]
 	cnt = cnt[:len(xs)]
