@@ -31,6 +31,13 @@ type Point struct {
 	Index    int
 	Params   []Param
 	Scenario experiment.Scenario
+
+	// scenarioJSON is Scenario's wire form, set only on the copy Run hands
+	// the sinks when it already encoded the scenario to hash it and the
+	// scenario is fully defaulted, so the canonical bytes are exactly
+	// Scenario.MarshalJSON's. JSONLSink writes them as the record's
+	// scenario; nil means encode Scenario.
+	scenarioJSON []byte
 }
 
 // ParamsString renders the assignments as "name=value name=value".

@@ -178,20 +178,6 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 
 	reps := c.Replications()
 
-	// Canonical hashes are only needed when some durability layer is on,
-	// and only for the points this run owns.
-	var hashes []string
-	if journal != nil || opts.Cache != nil {
-		hashes = make([]string, len(c.Points))
-		for i := lo; i < hi; i++ {
-			h, err := experiment.ScenarioHash(c.Points[i].Scenario)
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("campaign %q: hash point %d: %w", c.Spec.Name, i, err), abortSinks())
-			}
-			hashes[i] = h
-		}
-	}
-
 	// left[i] counts point i's unfinished trials. Points replayed from the
 	// journal of a resumed run start at zero; loadCheckpoint already
 	// validated indices, hashes, and vector lengths, and completions
@@ -207,46 +193,24 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		}
 	}
 
-	// Serve remaining points from the cross-campaign cache. Hits are
-	// journaled up front, in index order, still write-ahead of the sinks.
-	if opts.Cache != nil {
-		for i := lo; i < hi; i++ {
-			if left[i] == 0 {
-				continue
-			}
-			rs, hit, err := opts.Cache.Get(hashes[i])
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
-			}
-			if !hit || len(rs) != reps {
-				// A vector of the wrong length under a hash that encodes
-				// the replication count is a damaged entry: a miss.
-				continue
-			}
-			if journal != nil {
-				rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
-				if err := journal.Append(rec); err != nil {
-					return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
-				}
-			}
-			results[i] = rs
-			left[i] = 0
-			opts.Progress.PointCached(i)
-		}
-	}
-
 	// Ordered streaming: flush hands the sinks every finished point from
-	// next up to the first unfinished one. The pool serializes its done
-	// calls, so this state needs no lock of its own.
+	// next up to the first unfinished one or to upto, whichever comes
+	// first. scenarioJSON, if not nil, is the wire form of point upto-1's
+	// scenario. The pool serializes its done calls, so this state needs no
+	// lock of its own.
 	next := lo
-	flush := func() error {
-		for ; next < hi && left[next] == 0; next++ {
+	flush := func(upto int, scenarioJSON []byte) error {
+		for ; next < upto && left[next] == 0; next++ {
+			p := c.Points[next]
+			if next == upto-1 {
+				p.scenarioJSON = scenarioJSON
+			}
 			for _, s := range opts.Sinks {
 				var err error
 				if reps > 1 {
-					err = s.Aggregate(c.Points[next], NewAggregate(results[next]))
+					err = s.Aggregate(p, NewAggregate(results[next]))
 				} else {
-					err = s.Point(c.Points[next], results[next][0])
+					err = s.Point(p, results[next][0])
 				}
 				if err != nil {
 					return err
@@ -255,10 +219,53 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		}
 		return nil
 	}
-	// Feed the sinks the already-finished prefix; finished islands past it
-	// flush as execution fills the gaps between them.
-	if err := flush(); err != nil {
-		return nil, errors.Join(err, abortSinks())
+
+	// Canonical hashes are only needed when some durability layer is on,
+	// and only for the points this run owns. One pass hashes each point,
+	// serves it from the cross-campaign cache if it can — hits are
+	// journaled in index order, still write-ahead of the sinks — and feeds
+	// the sinks the finished prefix, so a point that streams at once hands
+	// them the bytes it was hashed from. The pass holds one point's bytes
+	// at a time: a point behind an unfinished one keeps only its hash, and
+	// its sinks encode its scenario when execution fills the gap.
+	var hashes []string
+	if journal != nil || opts.Cache != nil {
+		hashes = make([]string, len(c.Points))
+		for i := lo; i < hi; i++ {
+			sc := c.Points[i].Scenario
+			canonical, err := experiment.CanonicalScenarioJSON(sc)
+			if err != nil {
+				return nil, errors.Join(fmt.Errorf("campaign %q: hash point %d: %w", c.Spec.Name, i, err), abortSinks())
+			}
+			hashes[i] = experiment.HashCanonicalJSON(canonical)
+			if left[i] > 0 && opts.Cache != nil {
+				rs, hit, err := opts.Cache.Get(hashes[i])
+				if err != nil {
+					return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
+				}
+				// A vector of the wrong length under a hash that encodes
+				// the replication count is a damaged entry: a miss.
+				if hit && len(rs) == reps {
+					if journal != nil {
+						rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
+						if err := journal.Append(rec); err != nil {
+							return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
+						}
+					}
+					results[i] = rs
+					left[i] = 0
+					opts.Progress.PointCached(i)
+				}
+			}
+			// The canonical bytes are the defaulted scenario's; a point
+			// built by hand with defaults left unset keeps its own record.
+			if sc != sc.WithDefaults() {
+				canonical = nil
+			}
+			if err := flush(i+1, canonical); err != nil {
+				return nil, errors.Join(err, abortSinks())
+			}
+		}
 	}
 
 	var trials []trial
@@ -297,7 +304,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 				return err
 			}
 		}
-		return flush()
+		return flush(hi, nil)
 	}
 
 	runFn := opts.Run

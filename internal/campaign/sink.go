@@ -6,7 +6,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -60,9 +59,18 @@ func NewAggregate(rs []experiment.Result) Aggregate {
 // aggregate record — replication count plus per-metric statistics in
 // ResultMetricNames order — optionally preceded by one record per
 // replicate (PerReplicate).
+//
+// A record is assembled in one buffer the sink reuses, from compact
+// encoding/json parts: the campaign name (encoded once, in Begin), the
+// index, the params, the scenario — the bytes Run hashed, when the point
+// carries them — and the result or the metrics. The line is byte for
+// byte what json.Marshal of the record as a struct writes, and holds no
+// raw newline.
 type JSONLSink struct {
-	w        io.Writer
-	campaign string
+	w    io.Writer
+	name []byte        // the campaign name as a JSON string; nil omits the field
+	rec  record        // the record being assembled
+	enc  *json.Encoder // encodes results and summaries into rec
 
 	// PerReplicate additionally emits each replicate of a replicated
 	// point as its own record (tagged with the replicate index and the
@@ -70,32 +78,42 @@ type JSONLSink struct {
 	PerReplicate bool
 }
 
+// record is a JSONL record under assembly; the sink's Encoder appends to
+// it.
+type record []byte
+
+func (r *record) Write(p []byte) (int, error) {
+	*r = append(*r, p...)
+	return len(p), nil
+}
+
 // NewJSONLSink builds a JSONL sink over w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
+func NewJSONLSink(w io.Writer) *JSONLSink {
+	s := &JSONLSink{w: w}
+	s.enc = json.NewEncoder(&s.rec)
+	return s
+}
 
 // Begin records the campaign name for per-line tagging.
 func (s *JSONLSink) Begin(c *Campaign) error {
-	s.campaign = c.Spec.Name
+	s.name = nil
+	if c.Spec.Name != "" {
+		s.name = appendJSONString(nil, c.Spec.Name)
+	}
 	return nil
 }
 
 // Point writes one record line.
 func (s *JSONLSink) Point(p Point, res experiment.Result) error {
-	rec := struct {
-		Campaign string              `json:"campaign,omitempty"`
-		Index    int                 `json:"index"`
-		Params   json.RawMessage     `json:"params"`
-		Scenario experiment.Scenario `json:"scenario"`
-		Result   experiment.Result   `json:"result"`
-	}{s.campaign, p.Index, paramsJSON(p.Params), p.Scenario, res}
-	data, err := json.Marshal(&rec)
+	err := s.begin(p, -1)
+	if err == nil {
+		s.rec = append(s.rec, `,"result":`...)
+		err = s.encode(&res)
+	}
 	if err != nil {
 		return fmt.Errorf("campaign: jsonl point %d: %w", p.Index, err)
 	}
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("campaign: jsonl write: %w", err)
-	}
-	return nil
+	return s.end()
 }
 
 // Aggregate writes the statistics record of one replicated point — and,
@@ -103,36 +121,104 @@ func (s *JSONLSink) Point(p Point, res experiment.Result) error {
 func (s *JSONLSink) Aggregate(p Point, agg Aggregate) error {
 	if s.PerReplicate {
 		for r, res := range agg.Results {
-			rec := struct {
-				Campaign  string              `json:"campaign,omitempty"`
-				Index     int                 `json:"index"`
-				Replicate int                 `json:"replicate"`
-				Params    json.RawMessage     `json:"params"`
-				Scenario  experiment.Scenario `json:"scenario"`
-				Result    experiment.Result   `json:"result"`
-			}{s.campaign, p.Index, r, paramsJSON(p.Params), experiment.Replicate(p.Scenario, r), res}
-			data, err := json.Marshal(&rec)
+			err := s.begin(p, r)
+			if err == nil {
+				s.rec = append(s.rec, `,"result":`...)
+				err = s.encode(&res)
+			}
 			if err != nil {
 				return fmt.Errorf("campaign: jsonl point %d replicate %d: %w", p.Index, r, err)
 			}
-			if _, err := s.w.Write(append(data, '\n')); err != nil {
-				return fmt.Errorf("campaign: jsonl write: %w", err)
+			if err := s.end(); err != nil {
+				return err
 			}
 		}
 	}
-	rec := struct {
-		Campaign     string              `json:"campaign,omitempty"`
-		Index        int                 `json:"index"`
-		Params       json.RawMessage     `json:"params"`
-		Scenario     experiment.Scenario `json:"scenario"`
-		Replications int                 `json:"replications"`
-		Metrics      json.RawMessage     `json:"metrics"`
-	}{s.campaign, p.Index, paramsJSON(p.Params), p.Scenario, agg.Replications, metricsJSON(agg.Metrics)}
-	data, err := json.Marshal(&rec)
+	err := s.begin(p, -1)
+	if err == nil {
+		s.rec = append(s.rec, `,"replications":`...)
+		s.rec = strconv.AppendInt(s.rec, int64(agg.Replications), 10)
+		err = s.metrics(agg.Metrics)
+	}
 	if err != nil {
 		return fmt.Errorf("campaign: jsonl aggregate %d: %w", p.Index, err)
 	}
-	if _, err := s.w.Write(append(data, '\n')); err != nil {
+	return s.end()
+}
+
+// begin starts a record: the campaign name, the index, the replicate
+// index if replicate ≥ 0, the params and the scenario. A replicate's
+// scenario carries its derived seed; a point's is the bytes Run hashed if
+// the point carries them.
+func (s *JSONLSink) begin(p Point, replicate int) error {
+	b := append(s.rec[:0], '{')
+	if s.name != nil {
+		b = append(b, `"campaign":`...)
+		b = append(b, s.name...)
+		b = append(b, ',')
+	}
+	b = append(b, `"index":`...)
+	b = strconv.AppendInt(b, int64(p.Index), 10)
+	if replicate >= 0 {
+		b = append(b, `,"replicate":`...)
+		b = strconv.AppendInt(b, int64(replicate), 10)
+	}
+	b = append(b, `,"params":{`...)
+	for i, pr := range p.Params {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, pr.Name)
+		b = append(b, ':')
+		b = appendJSONString(b, pr.Value)
+	}
+	s.rec = append(b, `},"scenario":`...)
+	if replicate < 0 && p.scenarioJSON != nil {
+		s.rec = append(s.rec, p.scenarioJSON...)
+		return nil
+	}
+	sc := p.Scenario
+	if replicate >= 0 {
+		sc = experiment.Replicate(sc, replicate)
+	}
+	data, err := sc.MarshalJSON()
+	s.rec = append(s.rec, data...)
+	return err
+}
+
+// metrics appends the per-metric summaries as a JSON object in canonical
+// metric order (json.Marshal of a map would sort keys alphabetically).
+func (s *JSONLSink) metrics(sums []stats.Summary) error {
+	names := experiment.ResultMetricNames()
+	s.rec = append(s.rec, `,"metrics":{`...)
+	for i := range sums {
+		if i > 0 {
+			s.rec = append(s.rec, ',')
+		}
+		s.rec = appendJSONString(s.rec, names[i])
+		s.rec = append(s.rec, ':')
+		if err := s.encode(&sums[i]); err != nil {
+			return err
+		}
+	}
+	s.rec = append(s.rec, '}')
+	return nil
+}
+
+// encode appends v's encoding/json form, without the newline the Encoder
+// ends it with.
+func (s *JSONLSink) encode(v any) error {
+	if err := s.enc.Encode(v); err != nil {
+		return err
+	}
+	s.rec = s.rec[:len(s.rec)-1]
+	return nil
+}
+
+// end closes the record and writes it as one line.
+func (s *JSONLSink) end() error {
+	s.rec = append(s.rec, '}', '\n')
+	if _, err := s.w.Write(s.rec); err != nil {
 		return fmt.Errorf("campaign: jsonl write: %w", err)
 	}
 	return nil
@@ -145,43 +231,20 @@ func (s *JSONLSink) Close() error { return nil }
 // owns the writer.
 func (s *JSONLSink) Abort() error { return nil }
 
-// metricsJSON renders per-metric summaries as a JSON object in canonical
-// metric order (json.Marshal of a map would sort keys alphabetically).
-func metricsJSON(sums []stats.Summary) json.RawMessage {
-	names := experiment.ResultMetricNames()
-	var b bytes.Buffer
-	b.WriteByte('{')
-	for i, s := range sums {
-		if i > 0 {
-			b.WriteByte(',')
+// appendJSONString appends str as encoding/json writes a string. Plain
+// printable ASCII needs no escaping and is copied between quotes; any
+// other string, or one holding a quote, a backslash or one of the HTML
+// characters encoding/json escapes, is encoded by json.Marshal.
+func appendJSONString(b []byte, str string) []byte {
+	for i := 0; i < len(str); i++ {
+		if c := str[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(str) // a string always encodes
+			return append(b, q...)
 		}
-		k, _ := json.Marshal(names[i])
-		v, _ := json.Marshal(s)
-		b.Write(k)
-		b.WriteByte(':')
-		b.Write(v)
 	}
-	b.WriteByte('}')
-	return b.Bytes()
-}
-
-// paramsJSON renders the tuple as a JSON object preserving axis order
-// (json.Marshal of a map would sort keys alphabetically).
-func paramsJSON(ps []Param) json.RawMessage {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	for i, p := range ps {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		k, _ := json.Marshal(p.Name)
-		v, _ := json.Marshal(p.Value)
-		b.Write(k)
-		b.WriteByte(':')
-		b.Write(v)
-	}
-	b.WriteByte('}')
-	return b.Bytes()
+	b = append(b, '"')
+	b = append(b, str...)
+	return append(b, '"')
 }
 
 // csvResultColumns is the fixed result half of the CSV header: the
@@ -302,14 +365,18 @@ func (s *MemorySink) Begin(c *Campaign) error {
 	return nil
 }
 
-// Point records the pair.
+// Point records the pair. It drops the scenario bytes Run may attach, so
+// a recorded point equals the campaign's and holding every point does
+// not hold every encoding.
 func (s *MemorySink) Point(p Point, res experiment.Result) error {
+	p.scenarioJSON = nil
 	s.Points = append(s.Points, PointResult{p, res})
 	return nil
 }
 
-// Aggregate records the pair.
+// Aggregate records the pair, dropping the scenario bytes as Point does.
 func (s *MemorySink) Aggregate(p Point, agg Aggregate) error {
+	p.scenarioJSON = nil
 	s.Aggregates = append(s.Aggregates, PointAggregate{p, agg})
 	return nil
 }

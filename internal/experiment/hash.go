@@ -38,6 +38,15 @@ func ScenarioHash(sc Scenario) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return HashCanonicalJSON(data), nil
+}
+
+// HashCanonicalJSON hashes bytes that CanonicalScenarioJSON returned:
+// ScenarioHash(sc) is HashCanonicalJSON(CanonicalScenarioJSON(sc)). A
+// caller that needs both the bytes and the hash encodes the scenario once.
+func HashCanonicalJSON(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }

@@ -4,6 +4,8 @@ import (
 	"regexp"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // hashScenario is a convenience wrapper failing the test on marshal errors.
@@ -66,11 +68,13 @@ func TestScenarioHashSensitivity(t *testing.T) {
 	}
 }
 
-// TestScenarioHashStability pins one concrete hash value: the canonical
+// TestScenarioHashStability pins concrete hash values: the canonical
 // identity must never drift silently, because journals and caches written
 // by older binaries key on it. If this test fails, every existing
 // checkpoint directory and result cache is invalidated — change the wire
 // form only with that cost in mind (and document it in DESIGN.md §13).
+// The second scenario sets every enum and both nested configs, so a change
+// to any of their encoders moves its digest.
 func TestScenarioHashStability(t *testing.T) {
 	sc := Scenario{Protocol: SPMS, Workload: AllToAll, Nodes: 25, ZoneRadius: 20, Seed: 1}
 	data, err := CanonicalScenarioJSON(sc)
@@ -85,9 +89,23 @@ func TestScenarioHashStability(t *testing.T) {
 			t.Errorf("canonical JSON lacks %s:\n%s", want, data)
 		}
 	}
-	h1 := hashScenario(t, sc)
-	h2 := hashScenario(t, sc)
-	if h1 != h2 {
-		t.Fatalf("hash not stable across calls: %s vs %s", h1, h2)
+	full := Scenario{
+		Protocol: Flooding, Workload: Clustered, Nodes: 64, ZoneRadius: 15, Seed: 9,
+		Placement: PlaceClustered, Mobility: true, MobilityModel: MobWaypoint,
+		Failures: true, FailureCfg: fault.Config{Model: fault.Burst, MeanInterArrival: 40 * time.Millisecond},
+		Replications: 3,
+	}
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"minimal", sc, "b3b31e26536bf8054e5ffabda8e8e561901a667bc2f4ed6c3dfa9704af3fce92"},
+		{"every-enum", full, "2fb96eeea7723e3c99501441263c9b47a8d96aad91e79580bcea33aca0e08d7c"},
+	} {
+		if got := hashScenario(t, c.sc); got != c.want {
+			data, _ := CanonicalScenarioJSON(c.sc)
+			t.Errorf("%s: hash %s, want %s; canonical JSON:\n%s", c.name, got, c.want, data)
+		}
 	}
 }

@@ -2,7 +2,10 @@
 // campaign spec files (internal/campaign), `spmsim -scenario`, and result
 // sink tagging. Protocols and workloads serialize as their names, and
 // every duration accepts either a Go duration string ("2.5ms") or integer
-// nanoseconds, marshaling back as the string form. Decoding is strict:
+// nanoseconds, marshaling back as the string form. The encoders are
+// encoding.TextMarshalers, so encoding/json writes each name or duration
+// straight into its output as a string; the decoders are UnmarshalJSON
+// methods, which also accept the numeric forms. Decoding is strict:
 // unknown fields are rejected so a typoed spec fails instead of silently
 // simulating the default.
 package experiment
@@ -18,11 +21,15 @@ import (
 	"repro/internal/fault"
 )
 
-// MarshalJSON writes the protocol name ("spms", "spin", "flood").
-func (p Protocol) MarshalJSON() ([]byte, error) {
+// MarshalText writes the protocol name ("spms", "spin", "flood").
+func (p Protocol) MarshalText() ([]byte, error) {
 	switch p {
-	case SPMS, SPIN, Flooding:
-		return json.Marshal(strings.ToLower(p.String()))
+	case SPMS:
+		return []byte("spms"), nil
+	case SPIN:
+		return []byte("spin"), nil
+	case Flooding:
+		return []byte("flood"), nil
 	default:
 		return nil, fmt.Errorf("experiment: cannot marshal unknown protocol %d", int(p))
 	}
@@ -65,11 +72,11 @@ func ParseProtocol(s string) (Protocol, error) {
 	}
 }
 
-// MarshalJSON writes the workload name ("all-to-all", "clustered").
-func (w WorkloadKind) MarshalJSON() ([]byte, error) {
+// MarshalText writes the workload name ("all-to-all", "clustered").
+func (w WorkloadKind) MarshalText() ([]byte, error) {
 	switch w {
 	case AllToAll, Clustered:
-		return json.Marshal(w.String())
+		return []byte(w.String()), nil
 	default:
 		return nil, fmt.Errorf("experiment: cannot marshal unknown workload %d", int(w))
 	}
@@ -110,12 +117,12 @@ func ParseWorkload(s string) (WorkloadKind, error) {
 	}
 }
 
-// MarshalJSON writes the placement name ("grid", "uniform", "chain",
+// MarshalText writes the placement name ("grid", "uniform", "chain",
 // "clustered").
-func (p PlacementKind) MarshalJSON() ([]byte, error) {
+func (p PlacementKind) MarshalText() ([]byte, error) {
 	switch p {
 	case PlaceGrid, PlaceUniform, PlaceChain, PlaceClustered:
-		return json.Marshal(p.String())
+		return []byte(p.String()), nil
 	default:
 		return nil, fmt.Errorf("experiment: cannot marshal unknown placement %d", int(p))
 	}
@@ -160,11 +167,11 @@ func ParsePlacement(s string) (PlacementKind, error) {
 	}
 }
 
-// MarshalJSON writes the mobility-model name ("relocate", "waypoint").
-func (m MobilityKind) MarshalJSON() ([]byte, error) {
+// MarshalText writes the mobility-model name ("relocate", "waypoint").
+func (m MobilityKind) MarshalText() ([]byte, error) {
 	switch m {
 	case MobRelocate, MobWaypoint:
-		return json.Marshal(m.String())
+		return []byte(m.String()), nil
 	default:
 		return nil, fmt.Errorf("experiment: cannot marshal unknown mobility model %d", int(m))
 	}
@@ -212,8 +219,9 @@ func ParseMobilityModel(s string) (MobilityKind, error) {
 // instead of drifting copies.
 type FlexDuration time.Duration
 
-func (d FlexDuration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+// MarshalText writes the Go duration string ("2.5ms").
+func (d FlexDuration) MarshalText() ([]byte, error) {
+	return []byte(time.Duration(d).String()), nil
 }
 
 func (d *FlexDuration) UnmarshalJSON(data []byte) error {

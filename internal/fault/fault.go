@@ -67,11 +67,11 @@ func ParseModel(s string) (Model, error) {
 	}
 }
 
-// MarshalJSON writes the model name.
-func (m Model) MarshalJSON() ([]byte, error) {
+// MarshalText writes the model name.
+func (m Model) MarshalText() ([]byte, error) {
 	switch m {
 	case Transient, Crash, Burst:
-		return json.Marshal(m.String())
+		return []byte(m.String()), nil
 	default:
 		return nil, fmt.Errorf("fault: cannot marshal unknown model %d", int(m))
 	}

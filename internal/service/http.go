@@ -149,14 +149,18 @@ func serveResults(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 
 	ctx := r.Context()
+	var frame []byte
 	for {
 		recs, state, changed := j.next(offset)
 		for k, rec := range recs {
+			var err error
 			if sse {
-				if err := writeSSE(w, j.rng.Lo+offset+k, rec); err != nil {
-					return
-				}
-			} else if _, err := w.Write(rec); err != nil {
+				frame = appendSSE(frame[:0], j.rng.Lo+offset+k, rec)
+				_, err = w.Write(frame)
+			} else {
+				_, err = w.Write(rec)
+			}
+			if err != nil {
 				return
 			}
 		}

@@ -1,8 +1,8 @@
 // sse.go frames the result stream as Server-Sent Events. The framing is
 // deliberately minimal — one "id:" line carrying the absolute point index
 // and one "data:" line carrying the JSONL record — because the records
-// are single-line JSON by construction (campaign.JSONLSink marshals each
-// one with encoding/json, which never emits raw newlines), so no
+// are single-line JSON by construction (campaign.JSONLSink assembles each
+// one from encoding/json parts, none of which holds a raw newline), so no
 // multi-line data splitting is ever needed.
 package service
 
@@ -10,15 +10,20 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 )
 
-// writeSSE emits one result record as an SSE event: the event id is the
-// absolute point index in the expanded grid (what a reconnecting client
-// echoes back as Last-Event-ID), the data the JSONL record without its
-// trailing newline.
-func writeSSE(w io.Writer, pointIndex int, rec []byte) error {
-	_, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", pointIndex, bytes.TrimRight(rec, "\n"))
-	return err
+// appendSSE appends one result record's SSE event to frame: the event id
+// is the absolute point index in the expanded grid (what a reconnecting
+// client echoes back as Last-Event-ID), the data the JSONL record without
+// its trailing newline. The caller writes the frame in one call and may
+// reuse it for the next record.
+func appendSSE(frame []byte, pointIndex int, rec []byte) []byte {
+	frame = append(frame, "id: "...)
+	frame = strconv.AppendInt(frame, int64(pointIndex), 10)
+	frame = append(frame, "\ndata: "...)
+	frame = append(frame, bytes.TrimRight(rec, "\n")...)
+	return append(frame, "\n\n"...)
 }
 
 // writeSSEControl emits a named control event (e.g. "end" carrying the
