@@ -30,10 +30,12 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# fuzz-smoke runs the CI fuzz budget against both strict JSON decoders.
+# fuzz-smoke runs the CI fuzz budget against the three strict JSON
+# decoders: scenario, campaign spec and cache entry.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeScenario -fuzztime=10s ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=10s ./internal/campaign/
+	$(GO) test -run='^$$' -fuzz=FuzzCacheEntry -fuzztime=10s ./internal/checkpoint/
 
 # golden-update regenerates the byte-level regression corpus under
 # testdata/golden/ after an intentional output change; commit the rewritten
