@@ -125,7 +125,7 @@ func run(args []string) int {
 func load(specPath string, replications int) (*campaign.Campaign, int) {
 	spec, err := campaign.LoadSpec(specPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+		fmt.Fprintln(os.Stderr, err) // LoadSpec's errors carry the prefix
 		return nil, 1
 	}
 	if replications > 0 {
@@ -250,13 +250,13 @@ func runCampaign(specPath string, args []string) int {
 			return s
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+			fmt.Fprintln(os.Stderr, err) // NewFileSink's errors carry the prefix
 			return 1
 		}
 	}
 	if *csvPath != "" {
 		if err := addSink(*csvPath, func(w io.Writer) campaign.Sink { return campaign.NewCSVSink(w) }); err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}

@@ -145,27 +145,74 @@ func TestHeartbeatStopsOnSetupFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Capture stderr: the heartbeat writes there, and stop() prints one
-	// final line even if no tick ever fired.
+	// The heartbeat writes to stderr, and stop() prints one final line
+	// even if no tick ever fired.
+	code, captured := captureStderr(t, func() int {
+		return runCampaign(specPath, []string{
+			"-progress", "-jsonl", filepath.Join(dir, "out.jsonl"), "-checkpoint", notADir,
+		})
+	})
+
+	if code == 0 {
+		t.Fatal("runCampaign succeeded with a file as -checkpoint dir")
+	}
+	if !strings.Contains(captured, "progress: stress-quick") {
+		t.Fatalf("no final heartbeat line on setup failure — heartbeat goroutine leaked:\n%s", captured)
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected and returns fn's result
+// and what it wrote there.
+func captureStderr(t *testing.T, fn func() int) (int, string) {
+	t.Helper()
 	orig := os.Stderr
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stderr = w
-	code := runCampaign(specPath, []string{
-		"-progress", "-jsonl", filepath.Join(dir, "out.jsonl"), "-checkpoint", notADir,
-	})
+	code := fn()
 	w.Close()
 	os.Stderr = orig
 	captured, _ := io.ReadAll(r)
 	r.Close()
+	return code, string(captured)
+}
 
-	if code == 0 {
-		t.Fatal("runCampaign succeeded with a file as -checkpoint dir")
+// TestSetupErrorsPrintOnePrefix checks that an error whose text already
+// starts with "campaign: " (LoadSpec's, ParseSpec's, NewFileSink's) is
+// printed as is, not under a second prefix.
+func TestSetupErrorsPrintOnePrefix(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	_, openErr := os.Open(missing)
+	typo := filepath.Join(dir, "typo.json")
+	if err := os.WriteFile(typo, []byte(`{"name":"x","axes":{"protocol":["smps"]}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(captured), "progress: stress-quick") {
-		t.Fatalf("no final heartbeat line on setup failure — heartbeat goroutine leaked:\n%s", captured)
+	partial := filepath.Join(dir, "no-such-dir", "c1.jsonl.partial")
+	_, createErr := os.Create(partial)
+	if openErr == nil || createErr == nil {
+		t.Fatal("missing paths opened")
+	}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"missing spec", []string{"run", missing}, "campaign: " + openErr.Error()},
+		{"unknown protocol", []string{"run", typo},
+			`campaign: parse spec: experiment: unknown protocol "smps" (want spms | spin | flood) (in ` + typo + ")"},
+		{"missing sink directory", []string{"run", specPath, "-jsonl", filepath.Join(dir, "no-such-dir", "c1.jsonl")},
+			"campaign: create " + partial + ": " + createErr.Error()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, stderr := captureStderr(t, func() int { return run(c.args) })
+			if code != 1 || stderr != c.want+"\n" {
+				t.Errorf("exit %d, stderr %q\nwant exit 1, stderr %q", code, stderr, c.want+"\n")
+			}
+		})
 	}
 }
 

@@ -53,22 +53,17 @@ func main() {
 func run() int {
 	var (
 		scenarioPath = flag.String("scenario", "", "JSON scenario file to run (explicit flags override its fields)")
-		protoName    = flag.String("protocol", "spms", "protocol: spms | spin | flood")
-		wlName       = flag.String("workload", "all-to-all", "workload: all-to-all | cluster")
 		nodes        = flag.Int("nodes", 169, "number of sensor nodes")
 		radius       = flag.Float64("radius", 20, "maximum transmission radius in meters (zone radius)")
 		spacing      = flag.Float64("spacing", 5, "grid spacing in meters")
-		placement    = flag.String("placement", "grid", "node placement model: grid | uniform | chain | clustered")
 		placeK       = flag.Int("placement-clusters", 0, "clustered placement: number of Gaussian blobs (0 = default 4)")
 		placeSpread  = flag.Float64("placement-spread", 0, "clustered placement: per-axis blob deviation in meters (0 = 2×spacing)")
 		packets      = flag.Int("packets", 10, "data items generated per node")
 		sources      = flag.Int("sources", 0, "nodes that originate data: the first N ids (0 = every node)")
 		clusterProb  = flag.Float64("cluster-interest", 0.05, "clustered workload: bystander interest probability in [0,1]")
 		failures     = flag.Bool("failures", false, "inject node failures (see -failure-model; Table 1 timing by default)")
-		failureModel = flag.String("failure-model", "transient", "failure model: transient | crash | burst")
 		burstRadius  = flag.Float64("burst-radius", 0, "burst failures: epicenter radius in meters (0 = zone radius)")
 		mobility     = flag.Bool("mobility", false, "move nodes periodically (see -mobility-model, -mobility-period, -mobility-fraction)")
-		mobModel     = flag.String("mobility-model", "relocate", "mobility model: relocate | waypoint")
 		mobPeriod    = flag.Duration("mobility-period", 100*time.Millisecond, "interval between mobility events")
 		mobFraction  = flag.Float64("mobility-fraction", 0.05, "fraction of nodes moving, in [0,1]")
 		wpSpeedMin   = flag.Float64("waypoint-speed-min", 0, "waypoint mobility: minimum leg speed in m/s (0 = default 5)")
@@ -89,7 +84,18 @@ func run() int {
 		runStatsPath = flag.String("run-stats", "", `write phase timings and event-kernel stats as JSON to this file ("-" = stderr)`)
 		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+
+		protocol     experiment.Protocol
+		workload     experiment.WorkloadKind
+		placement    experiment.PlacementKind
+		failureModel fault.Model
+		mobModel     experiment.MobilityKind
 	)
+	flag.TextVar(&protocol, "protocol", experiment.SPMS, "protocol: spms | spin | flood")
+	flag.TextVar(&workload, "workload", experiment.AllToAll, "workload: all-to-all | cluster")
+	flag.TextVar(&placement, "placement", experiment.PlaceGrid, "node placement model: grid | uniform | chain | clustered")
+	flag.TextVar(&failureModel, "failure-model", fault.Transient, "failure model: transient | crash | burst")
+	flag.TextVar(&mobModel, "mobility-model", experiment.MobRelocate, "mobility model: relocate | waypoint")
 	flag.Parse()
 
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
@@ -121,20 +127,10 @@ func run() int {
 	use := func(name string) bool { return !fromFile || set[name] }
 
 	if use("protocol") {
-		p, err := experiment.ParseProtocol(*protoName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
-			return 2
-		}
-		sc.Protocol = p
+		sc.Protocol = protocol
 	}
 	if use("workload") {
-		w, err := experiment.ParseWorkload(*wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
-			return 2
-		}
-		sc.Workload = w
+		sc.Workload = workload
 	}
 	if use("nodes") {
 		sc.Nodes = *nodes
@@ -146,12 +142,7 @@ func run() int {
 		sc.GridSpacing = *spacing
 	}
 	if use("placement") {
-		p, err := experiment.ParsePlacement(*placement)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
-			return 2
-		}
-		sc.Placement = p
+		sc.Placement = placement
 	}
 	if use("placement-clusters") {
 		sc.PlacementClusters = *placeK
@@ -172,12 +163,7 @@ func run() int {
 		sc.Failures = *failures
 	}
 	if use("failure-model") {
-		m, err := fault.ParseModel(*failureModel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
-			return 2
-		}
-		sc.FailureCfg.Model = m
+		sc.FailureCfg.Model = failureModel
 	}
 	if use("burst-radius") {
 		sc.FailureCfg.BurstRadius = *burstRadius
@@ -186,12 +172,7 @@ func run() int {
 		sc.Mobility = *mobility
 	}
 	if use("mobility-model") {
-		m, err := experiment.ParseMobilityModel(*mobModel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spmsim: %v\n", err)
-			return 2
-		}
-		sc.MobilityModel = m
+		sc.MobilityModel = mobModel
 	}
 	if use("mobility-period") {
 		sc.MobilityPeriod = *mobPeriod

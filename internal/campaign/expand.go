@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/fault"
 )
 
 // MaxPoints bounds grid expansion: a spec whose axes multiply out beyond
@@ -122,65 +123,36 @@ func (s Spec) bindings() ([]binding, error) {
 		}
 	}
 
-	var protos []axisValue
-	for _, p := range s.Axes.Protocol {
-		p := p
-		protos = append(protos, axisValue{strings.ToLower(p.String()), func(sc *experiment.Scenario) { sc.Protocol = p }})
-	}
-	add("protocol", protos)
-
-	var wls []axisValue
-	for _, w := range s.Axes.Workload {
-		w := w
-		wls = append(wls, axisValue{w.String(), func(sc *experiment.Scenario) { sc.Workload = w }})
-	}
-	add("workload", wls)
+	// Protocol.String is the paper's upper-case name; its lower case is
+	// the wire name.
+	add("protocol", values(s.Axes.Protocol, func(p experiment.Protocol) string { return strings.ToLower(p.String()) }, func(sc *experiment.Scenario, p experiment.Protocol) { sc.Protocol = p }))
+	add("workload", values(s.Axes.Workload, experiment.WorkloadKind.String, func(sc *experiment.Scenario, w experiment.WorkloadKind) { sc.Workload = w }))
 
 	// Model axes list the zero-valued default model ("grid", "transient",
 	// "relocate") as a legitimate sweep value: unlike the zero-rejected
 	// numeric axes, the zero model is never replaced by WithDefaults — it
 	// IS the default model — so the emitted label always names what ran.
-	var places []axisValue
-	for _, p := range s.Axes.Placement {
-		p := p
-		places = append(places, axisValue{p.String(), func(sc *experiment.Scenario) { sc.Placement = p }})
-	}
-	add("placement", places)
+	add("placement", values(s.Axes.Placement, experiment.PlacementKind.String, func(sc *experiment.Scenario, p experiment.PlacementKind) { sc.Placement = p }))
 
-	add("placementClusters", intValues(s.Axes.PlacementClusters.Values, func(sc *experiment.Scenario, v int) { sc.PlacementClusters = v }))
-	add("placementSpread", floatValues(s.Axes.PlacementSpread.Values, func(sc *experiment.Scenario, v float64) { sc.PlacementSpread = v }))
+	add("placementClusters", values(s.Axes.PlacementClusters.Values, strconv.Itoa, func(sc *experiment.Scenario, v int) { sc.PlacementClusters = v }))
+	add("placementSpread", values(s.Axes.PlacementSpread.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.PlacementSpread = v }))
 
-	add("nodes", intValues(s.Axes.Nodes.Values, func(sc *experiment.Scenario, v int) { sc.Nodes = v }))
-	add("gridSpacing", floatValues(s.Axes.GridSpacing.Values, func(sc *experiment.Scenario, v float64) { sc.GridSpacing = v }))
-	add("zoneRadius", floatValues(s.Axes.ZoneRadius.Values, func(sc *experiment.Scenario, v float64) { sc.ZoneRadius = v }))
-	add("packetsPerNode", intValues(s.Axes.PacketsPerNode.Values, func(sc *experiment.Scenario, v int) { sc.PacketsPerNode = v }))
-	add("meanArrival", durationValues(s.Axes.MeanArrival.Values, func(sc *experiment.Scenario, v time.Duration) { sc.MeanArrival = v }))
-	add("clusterInterestProb", floatValues(s.Axes.ClusterInterestProb.Values, func(sc *experiment.Scenario, v float64) { sc.ClusterInterestProb = v }))
-	add("failures", boolValues(s.Axes.Failures, func(sc *experiment.Scenario, v bool) { sc.Failures = v }))
-
-	var fms []axisValue
-	for _, m := range s.Axes.FailureModel {
-		m := m
-		fms = append(fms, axisValue{m.String(), func(sc *experiment.Scenario) { sc.FailureCfg.Model = m }})
-	}
-	add("failureModel", fms)
-
-	add("burstRadius", floatValues(s.Axes.BurstRadius.Values, func(sc *experiment.Scenario, v float64) { sc.FailureCfg.BurstRadius = v }))
-
-	add("mobility", boolValues(s.Axes.Mobility, func(sc *experiment.Scenario, v bool) { sc.Mobility = v }))
-
-	var mms []axisValue
-	for _, m := range s.Axes.MobilityModel {
-		m := m
-		mms = append(mms, axisValue{m.String(), func(sc *experiment.Scenario) { sc.MobilityModel = m }})
-	}
-	add("mobilityModel", mms)
-
-	add("mobilityPeriod", durationValues(s.Axes.MobilityPeriod.Values, func(sc *experiment.Scenario, v time.Duration) { sc.MobilityPeriod = v }))
-	add("mobilityFraction", floatValues(s.Axes.MobilityFraction.Values, func(sc *experiment.Scenario, v float64) { sc.MobilityFraction = v }))
-	add("routeAlternatives", intValues(s.Axes.RouteAlternatives.Values, func(sc *experiment.Scenario, v int) { sc.RouteAlternatives = v }))
-	add("carrierSense", boolValues(s.Axes.CarrierSense, func(sc *experiment.Scenario, v bool) { sc.CarrierSense = v }))
-	add("drain", durationValues(s.Axes.Drain.Values, func(sc *experiment.Scenario, v time.Duration) { sc.Drain = v }))
+	add("nodes", values(s.Axes.Nodes.Values, strconv.Itoa, func(sc *experiment.Scenario, v int) { sc.Nodes = v }))
+	add("gridSpacing", values(s.Axes.GridSpacing.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.GridSpacing = v }))
+	add("zoneRadius", values(s.Axes.ZoneRadius.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.ZoneRadius = v }))
+	add("packetsPerNode", values(s.Axes.PacketsPerNode.Values, strconv.Itoa, func(sc *experiment.Scenario, v int) { sc.PacketsPerNode = v }))
+	add("meanArrival", values(s.Axes.MeanArrival.Values, time.Duration.String, func(sc *experiment.Scenario, v time.Duration) { sc.MeanArrival = v }))
+	add("clusterInterestProb", values(s.Axes.ClusterInterestProb.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.ClusterInterestProb = v }))
+	add("failures", values(s.Axes.Failures, strconv.FormatBool, func(sc *experiment.Scenario, v bool) { sc.Failures = v }))
+	add("failureModel", values(s.Axes.FailureModel, fault.Model.String, func(sc *experiment.Scenario, m fault.Model) { sc.FailureCfg.Model = m }))
+	add("burstRadius", values(s.Axes.BurstRadius.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.FailureCfg.BurstRadius = v }))
+	add("mobility", values(s.Axes.Mobility, strconv.FormatBool, func(sc *experiment.Scenario, v bool) { sc.Mobility = v }))
+	add("mobilityModel", values(s.Axes.MobilityModel, experiment.MobilityKind.String, func(sc *experiment.Scenario, m experiment.MobilityKind) { sc.MobilityModel = m }))
+	add("mobilityPeriod", values(s.Axes.MobilityPeriod.Values, time.Duration.String, func(sc *experiment.Scenario, v time.Duration) { sc.MobilityPeriod = v }))
+	add("mobilityFraction", values(s.Axes.MobilityFraction.Values, formatFloat, func(sc *experiment.Scenario, v float64) { sc.MobilityFraction = v }))
+	add("routeAlternatives", values(s.Axes.RouteAlternatives.Values, strconv.Itoa, func(sc *experiment.Scenario, v int) { sc.RouteAlternatives = v }))
+	add("carrierSense", values(s.Axes.CarrierSense, strconv.FormatBool, func(sc *experiment.Scenario, v bool) { sc.CarrierSense = v }))
+	add("drain", values(s.Axes.Drain.Values, time.Duration.String, func(sc *experiment.Scenario, v time.Duration) { sc.Drain = v }))
 
 	seeds := s.Axes.Seed.Values
 	if s.Axes.Seed.Count > 0 {
@@ -189,51 +161,22 @@ func (s Spec) bindings() ([]binding, error) {
 			seeds[i] = s.Base.Seed + int64(i)
 		}
 	}
-	var seedVals []axisValue
-	for _, v := range seeds {
-		v := v
-		seedVals = append(seedVals, axisValue{strconv.FormatInt(v, 10), func(sc *experiment.Scenario) { sc.Seed = v }})
-	}
-	add("seed", seedVals)
+	add("seed", values(seeds, func(v int64) string { return strconv.FormatInt(v, 10) }, func(sc *experiment.Scenario, v int64) { sc.Seed = v }))
 
 	return bs, nil
 }
 
-func intValues(vs []int, set func(*experiment.Scenario, int)) []axisValue {
+// values binds an axis's values, each labeled by label and applied by set.
+func values[T any](vs []T, label func(T) string, set func(*experiment.Scenario, T)) []axisValue {
 	out := make([]axisValue, len(vs))
 	for i, v := range vs {
-		v := v
-		out[i] = axisValue{strconv.Itoa(v), func(sc *experiment.Scenario) { set(sc, v) }}
+		out[i] = axisValue{label(v), func(sc *experiment.Scenario) { set(sc, v) }}
 	}
 	return out
 }
 
-func floatValues(vs []float64, set func(*experiment.Scenario, float64)) []axisValue {
-	out := make([]axisValue, len(vs))
-	for i, v := range vs {
-		v := v
-		out[i] = axisValue{strconv.FormatFloat(v, 'g', -1, 64), func(sc *experiment.Scenario) { set(sc, v) }}
-	}
-	return out
-}
-
-func boolValues(vs []bool, set func(*experiment.Scenario, bool)) []axisValue {
-	out := make([]axisValue, len(vs))
-	for i, v := range vs {
-		v := v
-		out[i] = axisValue{strconv.FormatBool(v), func(sc *experiment.Scenario) { set(sc, v) }}
-	}
-	return out
-}
-
-func durationValues(vs []time.Duration, set func(*experiment.Scenario, time.Duration)) []axisValue {
-	out := make([]axisValue, len(vs))
-	for i, v := range vs {
-		v := v
-		out[i] = axisValue{v.String(), func(sc *experiment.Scenario) { set(sc, v) }}
-	}
-	return out
-}
+// formatFloat labels a float value in its shortest exact form.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Expand materializes the spec's grid. Every returned point is fully
 // defaulted (experiment.Scenario.WithDefaults) and validated.

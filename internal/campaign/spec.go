@@ -17,6 +17,7 @@ package campaign
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -79,54 +80,7 @@ type IntAxis struct{ Values []int }
 
 // UnmarshalJSON accepts the list or range form.
 func (a *IntAxis) UnmarshalJSON(data []byte) error {
-	if isJSONNull(data) {
-		return nil
-	}
-	if isJSONArray(data) {
-		return json.Unmarshal(data, &a.Values)
-	}
-	var r struct {
-		From *int `json:"from"`
-		To   *int `json:"to"`
-		Step int  `json:"step"`
-	}
-	if err := strictUnmarshal(data, &r); err != nil {
-		return fmt.Errorf("campaign: int axis: %w", err)
-	}
-	if r.From == nil || r.To == nil {
-		return fmt.Errorf("campaign: int axis range needs both from and to")
-	}
-	if r.Step == 0 {
-		r.Step = 1
-	}
-	if r.Step < 0 {
-		return fmt.Errorf("campaign: int axis step %d must be positive", r.Step)
-	}
-	if *r.To < *r.From {
-		return fmt.Errorf("campaign: int axis range [%d, %d] is empty", *r.From, *r.To)
-	}
-	steps := uint64(*r.To-*r.From) / uint64(r.Step)
-	if err := checkRangeCount(steps); err != nil {
-		return fmt.Errorf("campaign: int axis: %w", err)
-	}
-	// Count-based iteration: from + i*step never exceeds to, so bounds
-	// near the integer limits cannot wrap the loop variable.
-	for i := 0; uint64(i) <= steps; i++ {
-		a.Values = append(a.Values, *r.From+i*r.Step)
-	}
-	return nil
-}
-
-// checkRangeCount fails a range whose expansion alone would exceed the
-// grid cap, so a typoed bound errors at parse time instead of allocating
-// gigabytes before Expand's product check runs. steps is the value count
-// minus one; the unsigned division its callers do is wrap-correct even
-// when to-from overflows signed arithmetic.
-func checkRangeCount(steps uint64) error {
-	if steps >= MaxPoints {
-		return fmt.Errorf("range expands to %d values (max %d)", steps+1, MaxPoints)
-	}
-	return nil
+	return decodeSteps[int](data, "int", 1, &a.Values)
 }
 
 // FloatAxis is either an explicit list or an inclusive ascending range
@@ -137,11 +91,8 @@ type FloatAxis struct{ Values []float64 }
 
 // UnmarshalJSON accepts the list or range form.
 func (a *FloatAxis) UnmarshalJSON(data []byte) error {
-	if isJSONNull(data) {
-		return nil
-	}
-	if isJSONArray(data) {
-		return json.Unmarshal(data, &a.Values)
+	if done, err := decodeList[float64](data, &a.Values); done {
+		return err
 	}
 	var r struct {
 		From *float64 `json:"from"`
@@ -192,44 +143,7 @@ type DurationAxis struct{ Values []time.Duration }
 
 // UnmarshalJSON accepts the list or range form.
 func (a *DurationAxis) UnmarshalJSON(data []byte) error {
-	if isJSONNull(data) {
-		return nil
-	}
-	if isJSONArray(data) {
-		var vs []experiment.FlexDuration
-		if err := json.Unmarshal(data, &vs); err != nil {
-			return err
-		}
-		for _, v := range vs {
-			a.Values = append(a.Values, time.Duration(v))
-		}
-		return nil
-	}
-	var r struct {
-		From *experiment.FlexDuration `json:"from"`
-		To   *experiment.FlexDuration `json:"to"`
-		Step experiment.FlexDuration  `json:"step"`
-	}
-	if err := strictUnmarshal(data, &r); err != nil {
-		return fmt.Errorf("campaign: duration axis: %w", err)
-	}
-	if r.From == nil || r.To == nil {
-		return fmt.Errorf("campaign: duration axis range needs both from and to")
-	}
-	if r.Step <= 0 {
-		return fmt.Errorf("campaign: duration axis step %v must be positive", time.Duration(r.Step))
-	}
-	if *r.To < *r.From {
-		return fmt.Errorf("campaign: duration axis range [%v, %v] is empty", time.Duration(*r.From), time.Duration(*r.To))
-	}
-	steps := uint64(*r.To-*r.From) / uint64(r.Step)
-	if err := checkRangeCount(steps); err != nil {
-		return fmt.Errorf("campaign: duration axis: %w", err)
-	}
-	for i := int64(0); uint64(i) <= steps; i++ {
-		a.Values = append(a.Values, time.Duration(*r.From)+time.Duration(i)*time.Duration(r.Step))
-	}
-	return nil
+	return decodeSteps[experiment.FlexDuration](data, "duration", 0, &a.Values)
 }
 
 // SeedAxis replicates points across seeds: an explicit list/range like
@@ -242,17 +156,12 @@ type SeedAxis struct {
 
 // UnmarshalJSON accepts the list, range, or count form.
 func (a *SeedAxis) UnmarshalJSON(data []byte) error {
-	if isJSONNull(data) {
-		return nil
-	}
-	if isJSONArray(data) {
-		return json.Unmarshal(data, &a.Values)
+	if done, err := decodeList[int64](data, &a.Values); done {
+		return err
 	}
 	var r struct {
-		From  *int64 `json:"from"`
-		To    *int64 `json:"to"`
-		Step  int64  `json:"step"`
-		Count int    `json:"count"`
+		stepRange[int64]
+		Count int `json:"count"`
 	}
 	if err := strictUnmarshal(data, &r); err != nil {
 		return fmt.Errorf("campaign: seed axis: %w", err)
@@ -273,23 +182,77 @@ func (a *SeedAxis) UnmarshalJSON(data []byte) error {
 	if r.From == nil || r.To == nil {
 		return fmt.Errorf("campaign: seed axis needs either count or from/to")
 	}
-	if r.Step == 0 {
-		r.Step = 1
+	return appendSteps("seed", *r.From, *r.To, cmp.Or(r.Step, 1), &a.Values)
+}
+
+// stepRange is the {"from", "to", "step"} form of an integer-valued axis,
+// each bound in its wire form W.
+type stepRange[W ~int | ~int64] struct {
+	From *W `json:"from"`
+	To   *W `json:"to"`
+	Step W  `json:"step"`
+}
+
+// decodeSteps decodes an integer-valued axis into out: JSON null, a list
+// of wire values W, or a stepRange of them. A zero step means defStep,
+// and a zero defStep makes the step required.
+func decodeSteps[W, V ~int | ~int64](data []byte, axis string, defStep W, out *[]V) error {
+	if done, err := decodeList[W](data, out); done {
+		return err
 	}
-	if r.Step < 0 {
-		return fmt.Errorf("campaign: seed axis step %d must be positive", r.Step)
+	var r stepRange[W]
+	if err := strictUnmarshal(data, &r); err != nil {
+		return fmt.Errorf("campaign: %s axis: %w", axis, err)
 	}
-	if *r.To < *r.From {
-		return fmt.Errorf("campaign: seed axis range [%d, %d] is empty", *r.From, *r.To)
+	if r.From == nil || r.To == nil {
+		return fmt.Errorf("campaign: %s axis range needs both from and to", axis)
 	}
-	steps := uint64(*r.To-*r.From) / uint64(r.Step)
-	if err := checkRangeCount(steps); err != nil {
-		return fmt.Errorf("campaign: seed axis: %w", err)
+	return appendSteps(axis, V(*r.From), V(*r.To), V(cmp.Or(r.Step, defStep)), out)
+}
+
+// appendSteps appends from, from+step, … up to to. A range whose
+// expansion alone would exceed the grid cap fails here, so a typoed bound
+// errors at parse time instead of allocating gigabytes before Expand's
+// product check runs.
+func appendSteps[V ~int | ~int64](axis string, from, to, step V, out *[]V) error {
+	if step <= 0 {
+		return fmt.Errorf("campaign: %s axis step %v must be positive", axis, step)
 	}
-	for i := int64(0); uint64(i) <= steps; i++ {
-		a.Values = append(a.Values, *r.From+i*r.Step)
+	if to < from {
+		return fmt.Errorf("campaign: %s axis range [%v, %v] is empty", axis, from, to)
+	}
+	// The unsigned division is wrap-correct even when to-from overflows
+	// signed arithmetic.
+	steps := uint64(to-from) / uint64(step)
+	if steps >= MaxPoints {
+		return fmt.Errorf("campaign: %s axis: range expands to %d values (max %d)", axis, steps+1, MaxPoints)
+	}
+	// Count-based iteration: from + i*step never exceeds to, so bounds
+	// near the integer limits cannot wrap the loop variable.
+	for i := V(0); uint64(i) <= steps; i++ {
+		*out = append(*out, from+i*step)
 	}
 	return nil
+}
+
+// decodeList decodes the forms every list-or-range axis shares into out:
+// JSON null leaves it empty and a list of wire values W is taken as
+// written. It reports whether data had one of these forms.
+func decodeList[W, V ~int | ~int64 | ~float64](data []byte, out *[]V) (bool, error) {
+	if isJSONNull(data) {
+		return true, nil
+	}
+	if !isJSONArray(data) {
+		return false, nil
+	}
+	var ws []W
+	if err := json.Unmarshal(data, &ws); err != nil {
+		return true, err
+	}
+	for _, w := range ws {
+		*out = append(*out, V(w))
+	}
+	return true, nil
 }
 
 // isJSONArray reports whether the raw value is a JSON array.

@@ -61,18 +61,6 @@ const (
 	Clustered
 )
 
-// String names the workload as spec files and flags do.
-func (w WorkloadKind) String() string {
-	switch w {
-	case AllToAll:
-		return "all-to-all"
-	case Clustered:
-		return "clustered"
-	default:
-		return fmt.Sprintf("WorkloadKind(%d)", int(w))
-	}
-}
-
 // PlacementKind selects the node-placement model. The zero value is the
 // paper's square grid, so pre-existing scenarios are untouched by the
 // model registry (the zero-value-compatibility contract, DESIGN.md §9).
@@ -86,22 +74,6 @@ const (
 	PlaceClustered                      // Gaussian blobs around seeded centers
 )
 
-// String names the placement as spec files and flags do.
-func (p PlacementKind) String() string {
-	switch p {
-	case PlaceGrid:
-		return "grid"
-	case PlaceUniform:
-		return "uniform"
-	case PlaceChain:
-		return "chain"
-	case PlaceClustered:
-		return "clustered"
-	default:
-		return fmt.Sprintf("PlacementKind(%d)", int(p))
-	}
-}
-
 // MobilityKind selects the mobility model. The zero value is the paper's
 // periodic fractional relocation (§5.1.3).
 type MobilityKind int
@@ -111,18 +83,6 @@ const (
 	MobRelocate MobilityKind = iota // §5.1.3 teleporting relocation (the zero value)
 	MobWaypoint                     // random waypoint with speed/pause ranges
 )
-
-// String names the mobility model as spec files and flags do.
-func (m MobilityKind) String() string {
-	switch m {
-	case MobRelocate:
-		return "relocate"
-	case MobWaypoint:
-		return "waypoint"
-	default:
-		return fmt.Sprintf("MobilityKind(%d)", int(m))
-	}
-}
 
 // Scenario is one fully specified simulation run. The JSON form (tags
 // below, codecs in json.go) is the wire format of campaign spec files and
@@ -312,10 +272,10 @@ func (s Scenario) WithDefaults() Scenario {
 // is not, so a hand-written campaign spec fails loudly instead of
 // simulating garbage.
 func (s Scenario) Validate() error {
-	if s.Protocol < SPMS || s.Protocol > Flooding {
+	if !protocols.Has(s.Protocol) {
 		return fmt.Errorf("experiment: unknown protocol %d", int(s.Protocol))
 	}
-	if s.Workload != AllToAll && s.Workload != Clustered {
+	if !workloads.Has(s.Workload) {
 		return fmt.Errorf("experiment: unknown workload %d", int(s.Workload))
 	}
 	if s.Nodes <= 0 {
@@ -327,7 +287,7 @@ func (s Scenario) Validate() error {
 	if s.ZoneRadius <= 0 {
 		return fmt.Errorf("experiment: non-positive zone radius %v", s.ZoneRadius)
 	}
-	if s.Placement < PlaceGrid || s.Placement > PlaceClustered {
+	if !placements.Has(s.Placement) {
 		return fmt.Errorf("experiment: unknown placement %d", int(s.Placement))
 	}
 	if s.PlacementClusters < 0 {
@@ -352,7 +312,7 @@ func (s Scenario) Validate() error {
 	// MobilityModel): an unnamable numeric model would otherwise survive
 	// to fail Scenario marshaling mid-campaign. The full config is only
 	// validated when it will actually run.
-	if m := s.FailureCfg.Model; m < fault.Transient || m > fault.Burst {
+	if m := s.FailureCfg.Model; !m.Valid() {
 		return fmt.Errorf("experiment: unknown failure model %d", int(m))
 	}
 	if s.Failures && s.FailureCfg != (fault.Config{}) {
@@ -360,7 +320,7 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("experiment: %w", err)
 		}
 	}
-	if s.MobilityModel < MobRelocate || s.MobilityModel > MobWaypoint {
+	if !mobilityModels.Has(s.MobilityModel) {
 		return fmt.Errorf("experiment: unknown mobility model %d", int(s.MobilityModel))
 	}
 	if s.MobilityPeriod < 0 {

@@ -4,8 +4,9 @@
 // every duration accepts either a Go duration string ("2.5ms") or integer
 // nanoseconds, marshaling back as the string form. The encoders are
 // encoding.TextMarshalers, so encoding/json writes each name or duration
-// straight into its output as a string; the decoders are UnmarshalJSON
-// methods, which also accept the numeric forms. Decoding is strict:
+// straight into its output as a string. The enums' names live in one
+// table each (internal/enum), which their text and JSON decoders read;
+// UnmarshalJSON also accepts the numeric form. Decoding is strict:
 // unknown fields are rejected so a typoed spec fails instead of silently
 // simulating the default.
 package experiment
@@ -14,204 +15,82 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/enum"
 	"repro/internal/fault"
 )
 
+// The enums' wire names. Each value's first spelling is the one it is
+// written as; the others are accepted aliases.
+var (
+	protocols = enum.New("experiment", "protocol", "spms | spin | flood", map[Protocol][]string{
+		SPMS:     {"spms"},
+		SPIN:     {"spin"},
+		Flooding: {"flood", "flooding"},
+	})
+	workloads = enum.New("experiment", "workload", "all-to-all | cluster", map[WorkloadKind][]string{
+		AllToAll:  {"all-to-all", "alltoall"},
+		Clustered: {"clustered", "cluster"},
+	})
+	placements = enum.New("experiment", "placement", "grid | uniform | chain | clustered", map[PlacementKind][]string{
+		PlaceGrid:      {"grid"},
+		PlaceUniform:   {"uniform"},
+		PlaceChain:     {"chain"},
+		PlaceClustered: {"clustered", "cluster"},
+	})
+	mobilityModels = enum.New("experiment", "mobility model", "relocate | waypoint", map[MobilityKind][]string{
+		MobRelocate: {"relocate", "relocation"},
+		MobWaypoint: {"waypoint", "random-waypoint"},
+	})
+)
+
 // MarshalText writes the protocol name ("spms", "spin", "flood").
-func (p Protocol) MarshalText() ([]byte, error) {
-	switch p {
-	case SPMS:
-		return []byte("spms"), nil
-	case SPIN:
-		return []byte("spin"), nil
-	case Flooding:
-		return []byte("flood"), nil
-	default:
-		return nil, fmt.Errorf("experiment: cannot marshal unknown protocol %d", int(p))
-	}
-}
+func (p Protocol) MarshalText() ([]byte, error) { return protocols.Marshal(p) }
 
-// UnmarshalJSON accepts a protocol name (case-insensitive) or its numeric
-// value.
-func (p *Protocol) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v, err := ParseProtocol(s)
-		if err != nil {
-			return err
-		}
-		*p = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	*p = Protocol(n)
-	return nil
-}
+// UnmarshalText reads a protocol name in any case.
+func (p *Protocol) UnmarshalText(text []byte) error { return protocols.Unmarshal(text, p) }
 
-// ParseProtocol resolves a protocol name as used in flags and spec files.
-func ParseProtocol(s string) (Protocol, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "spms":
-		return SPMS, nil
-	case "spin":
-		return SPIN, nil
-	case "flood", "flooding":
-		return Flooding, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown protocol %q (want spms | spin | flood)", s)
-	}
-}
+// UnmarshalJSON accepts a protocol name or its numeric value.
+func (p *Protocol) UnmarshalJSON(data []byte) error { return protocols.DecodeJSON(data, p) }
+
+// String names the workload as spec files and flags do.
+func (w WorkloadKind) String() string { return workloads.String(w) }
 
 // MarshalText writes the workload name ("all-to-all", "clustered").
-func (w WorkloadKind) MarshalText() ([]byte, error) {
-	switch w {
-	case AllToAll, Clustered:
-		return []byte(w.String()), nil
-	default:
-		return nil, fmt.Errorf("experiment: cannot marshal unknown workload %d", int(w))
-	}
-}
+func (w WorkloadKind) MarshalText() ([]byte, error) { return workloads.Marshal(w) }
 
-// UnmarshalJSON accepts a workload name (case-insensitive) or its numeric
-// value.
-func (w *WorkloadKind) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v, err := ParseWorkload(s)
-		if err != nil {
-			return err
-		}
-		*w = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	*w = WorkloadKind(n)
-	return nil
-}
+// UnmarshalText reads a workload name in any case.
+func (w *WorkloadKind) UnmarshalText(text []byte) error { return workloads.Unmarshal(text, w) }
 
-// ParseWorkload resolves a workload name as used in flags and spec files.
-func ParseWorkload(s string) (WorkloadKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "all-to-all", "alltoall":
-		return AllToAll, nil
-	case "cluster", "clustered":
-		return Clustered, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown workload %q (want all-to-all | cluster)", s)
-	}
-}
+// UnmarshalJSON accepts a workload name or its numeric value.
+func (w *WorkloadKind) UnmarshalJSON(data []byte) error { return workloads.DecodeJSON(data, w) }
+
+// String names the placement as spec files and flags do.
+func (p PlacementKind) String() string { return placements.String(p) }
 
 // MarshalText writes the placement name ("grid", "uniform", "chain",
 // "clustered").
-func (p PlacementKind) MarshalText() ([]byte, error) {
-	switch p {
-	case PlaceGrid, PlaceUniform, PlaceChain, PlaceClustered:
-		return []byte(p.String()), nil
-	default:
-		return nil, fmt.Errorf("experiment: cannot marshal unknown placement %d", int(p))
-	}
-}
+func (p PlacementKind) MarshalText() ([]byte, error) { return placements.Marshal(p) }
 
-// UnmarshalJSON accepts a placement name (case-insensitive) or its numeric
-// value.
-func (p *PlacementKind) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v, err := ParsePlacement(s)
-		if err != nil {
-			return err
-		}
-		*p = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	*p = PlacementKind(n)
-	return nil
-}
+// UnmarshalText reads a placement name in any case.
+func (p *PlacementKind) UnmarshalText(text []byte) error { return placements.Unmarshal(text, p) }
 
-// ParsePlacement resolves a placement name as used in flags and spec files.
-func ParsePlacement(s string) (PlacementKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "grid":
-		return PlaceGrid, nil
-	case "uniform":
-		return PlaceUniform, nil
-	case "chain":
-		return PlaceChain, nil
-	case "cluster", "clustered":
-		return PlaceClustered, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown placement %q (want grid | uniform | chain | clustered)", s)
-	}
-}
+// UnmarshalJSON accepts a placement name or its numeric value.
+func (p *PlacementKind) UnmarshalJSON(data []byte) error { return placements.DecodeJSON(data, p) }
+
+// String names the mobility model as spec files and flags do.
+func (m MobilityKind) String() string { return mobilityModels.String(m) }
 
 // MarshalText writes the mobility-model name ("relocate", "waypoint").
-func (m MobilityKind) MarshalText() ([]byte, error) {
-	switch m {
-	case MobRelocate, MobWaypoint:
-		return []byte(m.String()), nil
-	default:
-		return nil, fmt.Errorf("experiment: cannot marshal unknown mobility model %d", int(m))
-	}
-}
+func (m MobilityKind) MarshalText() ([]byte, error) { return mobilityModels.Marshal(m) }
 
-// UnmarshalJSON accepts a mobility-model name (case-insensitive) or its
-// numeric value.
-func (m *MobilityKind) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v, err := ParseMobilityModel(s)
-		if err != nil {
-			return err
-		}
-		*m = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	*m = MobilityKind(n)
-	return nil
-}
+// UnmarshalText reads a mobility-model name in any case.
+func (m *MobilityKind) UnmarshalText(text []byte) error { return mobilityModels.Unmarshal(text, m) }
 
-// ParseMobilityModel resolves a mobility-model name as used in flags and
-// spec files.
-func ParseMobilityModel(s string) (MobilityKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "relocate", "relocation":
-		return MobRelocate, nil
-	case "waypoint", "random-waypoint":
-		return MobWaypoint, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown mobility model %q (want relocate | waypoint)", s)
-	}
-}
+// UnmarshalJSON accepts a mobility-model name or its numeric value.
+func (m *MobilityKind) UnmarshalJSON(data []byte) error { return mobilityModels.DecodeJSON(data, m) }
 
 // FlexDuration marshals as a Go duration string and unmarshals from
 // either a duration string or integer nanoseconds. Exported so other

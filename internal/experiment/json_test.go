@@ -92,25 +92,41 @@ func TestScenarioJSONFlexibleInput(t *testing.T) {
 	}
 }
 
-// TestScenarioJSONRejects checks strict decoding: unknown fields, unknown
-// enum names, and malformed durations all fail loudly.
+// TestScenarioJSONRejects pins the whole text of each rejection: strict
+// decoding fails on unknown fields, unknown enum names and malformed
+// durations, and Validate on an enum's numeric form that names no value.
 func TestScenarioJSONRejects(t *testing.T) {
+	const pre = "experiment: bad scenario: "
+	const valid = `"protocol":"spms","workload":"all-to-all","nodes":1,"zoneRadius":1`
 	cases := []struct{ name, in, wantErr string }{
-		{"unknown field", `{"protocol":"spms","nodez":25}`, "nodez"},
-		{"unknown protocol", `{"protocol":"smps"}`, "unknown protocol"},
-		{"unknown workload", `{"workload":"mesh"}`, "unknown workload"},
-		{"bad duration", `{"drain":"3 parsecs"}`, "bad duration"},
-		{"bad nested field", `{"failureConfig":{"mttr":"10ms"}}`, "mttr"},
+		{"unknown field", `{"protocol":"spms","nodez":25}`, pre + `json: unknown field "nodez"`},
+		{"unknown protocol", `{"protocol":"smps"}`, pre + `experiment: unknown protocol "smps" (want spms | spin | flood)`},
+		{"fractional protocol", `{"protocol":1.5}`, pre + "json: cannot unmarshal number 1.5 into Go struct field .alias.protocol of type int"},
+		{"numeric unknown protocol", `{"protocol":7}`, "experiment: unknown protocol 7"},
+		{"null protocol", `{"protocol":null}`, "experiment: unknown protocol 0"},
+		{"unknown workload", `{"workload":"mesh"}`, pre + `experiment: unknown workload "mesh" (want all-to-all | cluster)`},
+		{"numeric unknown workload", `{"protocol":"spms","workload":9}`, "experiment: unknown workload 9"},
+		{"unknown placement", `{"placement":"torus"}`, pre + `experiment: unknown placement "torus" (want grid | uniform | chain | clustered)`},
+		{"numeric unknown placement", `{` + valid + `,"placement":9}`, "experiment: unknown placement 9"},
+		{"unknown mobility model", `{"mobilityModel":"brownian"}`, pre + `experiment: unknown mobility model "brownian" (want relocate | waypoint)`},
+		{"numeric unknown mobility model", `{` + valid + `,"mobilityModel":5}`, "experiment: unknown mobility model 5"},
+		{"unknown failure model", `{"failureConfig":{"model":"meteor"}}`, pre + `fault: unknown failure model "meteor" (want transient | crash | burst)`},
+		{"numeric unknown failure model", `{` + valid + `,"failures":true,"failureConfig":{"model":7}}`, "experiment: unknown failure model 7"},
+		{"bad duration", `{"drain":"3 parsecs"}`, pre + `experiment: bad duration "3 parsecs": time: unknown unit " parsecs" in duration "3 parsecs"`},
+		{"bad nested field", `{"failureConfig":{"mttr":"10ms"}}`, pre + `json: unknown field "mttr"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var sc Scenario
 			err := json.Unmarshal([]byte(tc.in), &sc)
 			if err == nil {
+				err = sc.Validate()
+			}
+			if err == nil {
 				t.Fatalf("accepted %s as %+v", tc.in, sc)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
+			if err.Error() != tc.wantErr {
+				t.Fatalf("err = %v\nwant %s", err, tc.wantErr)
 			}
 		})
 	}

@@ -28,21 +28,23 @@ func TestModelZeroValuesAreThePaperModels(t *testing.T) {
 
 func TestParsePlacementAndMobilityModel(t *testing.T) {
 	for _, p := range []PlacementKind{PlaceGrid, PlaceUniform, PlaceChain, PlaceClustered} {
-		got, err := ParsePlacement(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePlacement(%q) = %v, %v", p.String(), got, err)
+		var got PlacementKind
+		if err := got.UnmarshalText([]byte(p.String())); err != nil || got != p {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ParsePlacement("torus"); err == nil {
+	var p PlacementKind
+	if err := p.UnmarshalText([]byte("torus")); err == nil {
 		t.Fatal("unknown placement accepted")
 	}
 	for _, m := range []MobilityKind{MobRelocate, MobWaypoint} {
-		got, err := ParseMobilityModel(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseMobilityModel(%q) = %v, %v", m.String(), got, err)
+		var got MobilityKind
+		if err := got.UnmarshalText([]byte(m.String())); err != nil || got != m {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := ParseMobilityModel("brownian"); err == nil {
+	var m MobilityKind
+	if err := m.UnmarshalText([]byte("brownian")); err == nil {
 		t.Fatal("unknown mobility model accepted")
 	}
 }

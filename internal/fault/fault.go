@@ -18,11 +18,10 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
+	"repro/internal/enum"
 	"repro/internal/geom"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -39,66 +38,27 @@ const (
 	Burst
 )
 
-// String names the model as spec files and flags do.
-func (m Model) String() string {
-	switch m {
-	case Transient:
-		return "transient"
-	case Crash:
-		return "crash"
-	case Burst:
-		return "burst"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
+// models holds the failure models' wire names.
+var models = enum.New("fault", "failure model", "transient | crash | burst", map[Model][]string{
+	Transient: {"transient"},
+	Crash:     {"crash"},
+	Burst:     {"burst"},
+})
 
-// ParseModel resolves a failure-model name as used in flags and spec files.
-func ParseModel(s string) (Model, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "transient":
-		return Transient, nil
-	case "crash":
-		return Crash, nil
-	case "burst":
-		return Burst, nil
-	default:
-		return 0, fmt.Errorf("fault: unknown failure model %q (want transient | crash | burst)", s)
-	}
-}
+// String names the model as spec files and flags do.
+func (m Model) String() string { return models.String(m) }
+
+// Valid reports whether m is one of the failure models.
+func (m Model) Valid() bool { return models.Has(m) }
 
 // MarshalText writes the model name.
-func (m Model) MarshalText() ([]byte, error) {
-	switch m {
-	case Transient, Crash, Burst:
-		return []byte(m.String()), nil
-	default:
-		return nil, fmt.Errorf("fault: cannot marshal unknown model %d", int(m))
-	}
-}
+func (m Model) MarshalText() ([]byte, error) { return models.Marshal(m) }
 
-// UnmarshalJSON accepts a model name (case-insensitive) or its numeric
-// value.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		v, err := ParseModel(s)
-		if err != nil {
-			return err
-		}
-		*m = v
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	*m = Model(n)
-	return nil
-}
+// UnmarshalText reads a model name in any case.
+func (m *Model) UnmarshalText(text []byte) error { return models.Unmarshal(text, m) }
+
+// UnmarshalJSON accepts a model name or its numeric value.
+func (m *Model) UnmarshalJSON(data []byte) error { return models.DecodeJSON(data, m) }
 
 // Config parameterizes the injector. Table 1: mean failure inter-arrival
 // λ = 50 ms, MTTR = 10 ms (we center a uniform window on it).
@@ -133,7 +93,7 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Model < Transient || c.Model > Burst {
+	if !c.Model.Valid() {
 		return fmt.Errorf("fault: unknown failure model %d", int(c.Model))
 	}
 	if c.MeanInterArrival <= 0 {

@@ -17,15 +17,16 @@ import (
 
 func TestModelStringAndParse(t *testing.T) {
 	for _, m := range []Model{Transient, Crash, Burst} {
-		got, err := ParseModel(m.String())
-		if err != nil {
-			t.Fatalf("ParseModel(%q): %v", m.String(), err)
+		var got Model
+		if err := got.UnmarshalText([]byte(m.String())); err != nil {
+			t.Fatalf("UnmarshalText(%q): %v", m.String(), err)
 		}
 		if got != m {
-			t.Fatalf("ParseModel(%q) = %v, want %v", m.String(), got, m)
+			t.Fatalf("UnmarshalText(%q) = %v, want %v", m.String(), got, m)
 		}
 	}
-	if _, err := ParseModel("meteor"); err == nil {
+	var m Model
+	if err := m.UnmarshalText([]byte("meteor")); err == nil {
 		t.Fatal("unknown model accepted")
 	}
 	if Model(0) != Transient {
