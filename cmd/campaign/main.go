@@ -306,7 +306,7 @@ func runCampaign(specPath string, args []string) int {
 	})
 	stopHeartbeat()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
+		fmt.Fprintln(os.Stderr, err) // Run's errors start with the campaign's name
 		if *checkpointDir != "" {
 			fmt.Fprintf(os.Stderr, "campaign: resume with:\n  %s\n", resumeCommand(specPath, args))
 		}

@@ -181,7 +181,8 @@ func captureStderr(t *testing.T, fn func() int) (int, string) {
 
 // TestSetupErrorsPrintOnePrefix checks that an error whose text already
 // starts with "campaign" (LoadSpec's, ParseSpec's, Expand's,
-// NewFileSink's) is printed as is, not under a second prefix.
+// NewFileSink's, and every error Campaign.Run returns, which names the
+// campaign) is printed as is, not under a second prefix.
 func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.json")
@@ -198,26 +199,48 @@ func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 	zero := spec("zero.json", `{"name":"x","base":{"protocol":"spms","workload":"all-to-all","nodes":25,"zoneRadius":15},"axes":{"gridSpacing":[0,5]}}`)
 	partial := filepath.Join(dir, "no-such-dir", "c1.jsonl.partial")
 	_, createErr := os.Create(partial)
-	if openErr == nil || createErr == nil {
+	notADir := spec("ckpt", "x")
+	mkdirErr := os.MkdirAll(notADir, 0o755)
+	// A closed stdout: the JSONL sink's first write fails.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	w.Close()
+	_, writeErr := w.Write([]byte("x"))
+	if openErr == nil || createErr == nil || mkdirErr == nil || writeErr == nil {
 		t.Fatal("missing paths opened")
 	}
+	journalArgs := []string{"-checkpoint", notADir}
 	cases := []struct {
-		name string
-		args []string
-		want string
+		name   string
+		args   []string
+		stdout *os.File // replaces os.Stdout for the run if set
+		want   string
 	}{
-		{"missing spec", []string{"run", missing}, "campaign: " + openErr.Error()},
-		{"unknown protocol", []string{"run", typo},
+		{"missing spec", []string{"run", missing}, nil, "campaign: " + openErr.Error()},
+		{"unknown protocol", []string{"run", typo}, nil,
 			`campaign: parse spec: experiment: unknown protocol "smps" (want spms | spin | flood) (in ` + typo + ")"},
-		{"unnamed protocol", []string{"validate", unnamed},
+		{"unnamed protocol", []string{"validate", unnamed}, nil,
 			`campaign "x": point 0 (protocol=protocol(7)): experiment: unknown protocol 7`},
-		{"zero axis value", []string{"run", zero},
+		{"zero axis value", []string{"run", zero}, nil,
 			`campaign: axis gridSpacing: zero means "use the default" in a Scenario and would be replaced by the default; write the intended value explicitly`},
-		{"missing sink directory", []string{"run", specPath, "-jsonl", filepath.Join(dir, "no-such-dir", "c1.jsonl")},
+		{"missing sink directory", []string{"run", specPath, "-jsonl", filepath.Join(dir, "no-such-dir", "c1.jsonl")}, nil,
 			"campaign: create " + partial + ": " + createErr.Error()},
+		{"sink write failure", []string{"run", specPath, "-parallel", "1"}, w,
+			`campaign "stress-quick": jsonl write: ` + writeErr.Error()},
+		{"journal failure", append([]string{"run", specPath}, journalArgs...), nil,
+			`campaign "stress-quick": checkpoint: create dir: ` + mkdirErr.Error() +
+				"\ncampaign: resume with:\n  " + resumeCommand(specPath, journalArgs)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.stdout != nil {
+				orig := os.Stdout
+				os.Stdout = c.stdout
+				defer func() { os.Stdout = orig }()
+			}
 			code, stderr := captureStderr(t, func() int { return run(c.args) })
 			if code != 1 || stderr != c.want+"\n" {
 				t.Errorf("exit %d, stderr %q\nwant exit 1, stderr %q", code, stderr, c.want+"\n")

@@ -425,7 +425,8 @@ func TestLoadCheckpointValidation(t *testing.T) {
 }
 
 // TestFileSinkLifecycle: a FileSink streams to <path>.partial, publishes
-// <path> only on clean Close, and leaves the .partial behind on Abort.
+// <path> only on clean Close, replacing a regular file already there, and
+// leaves the .partial behind on Abort.
 func TestFileSinkLifecycle(t *testing.T) {
 	c, err := Expand(gridSpec(t))
 	if err != nil {
@@ -435,6 +436,9 @@ func TestFileSinkLifecycle(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.jsonl")
+	if err := os.WriteFile(path, []byte("an earlier run's output\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	fs, err := NewFileSink(path, func(w io.Writer) Sink { return NewJSONLSink(w) })
 	if err != nil {
 		t.Fatalf("NewFileSink: %v", err)
@@ -469,5 +473,34 @@ func TestFileSinkLifecycle(t *testing.T) {
 	}
 	if _, err := os.Stat(path2 + PartialSuffix); err != nil {
 		t.Fatalf("aborted run left no .partial: %v", err)
+	}
+}
+
+// TestFileSinkRefusesDirectory: a sink path naming a directory is refused
+// before <path>.partial is created, since publishing would rename over it.
+func TestFileSinkRefusesDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	checkSinkRefused(t, path)
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("%s is no longer a directory (stat %v, err %v)", path, fi, err)
+	}
+}
+
+// checkSinkRefused asserts that NewFileSink refuses path with an error
+// that names it, and creates no <path>.partial.
+func checkSinkRefused(t *testing.T, path string) {
+	t.Helper()
+	fs, err := NewFileSink(path, func(w io.Writer) Sink { return NewJSONLSink(w) })
+	if want := "campaign: " + path + " exists and is not a regular file"; err == nil || err.Error() != want {
+		if fs != nil {
+			fs.Abort()
+		}
+		t.Fatalf("NewFileSink(%s) err = %v, want %q", path, err, want)
+	}
+	if _, err := os.Lstat(path + PartialSuffix); !os.IsNotExist(err) {
+		t.Fatalf("a refused sink created %s%s (stat err %v)", path, PartialSuffix, err)
 	}
 }

@@ -28,8 +28,15 @@ type FileSink struct {
 const PartialSuffix = ".partial"
 
 // NewFileSink creates path+".partial" (truncating any previous attempt)
-// and wraps the sink that build constructs over it.
+// and wraps the sink that build constructs over it. It refuses a path that
+// exists and is not a regular file, such as a directory, a device, a FIFO
+// or a symbolic link: Close's rename would replace it with the finished
+// file. A link is refused even when it points at a regular file, because
+// the rename replaces the link, not its target; hence Lstat.
 func NewFileSink(path string, build func(io.Writer) Sink) (*FileSink, error) {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("campaign: %s exists and is not a regular file", path)
+	}
 	f, err := os.OpenFile(path+PartialSuffix, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create %s%s: %w", path, PartialSuffix, err)
@@ -57,13 +64,13 @@ func (s *FileSink) Close() error {
 	//repolint:allow detsource publishing the output is a durability barrier: the rename must not make bytes visible that are not yet on stable storage
 	if err := s.f.Sync(); err != nil {
 		s.f.Close()
-		return fmt.Errorf("campaign: sync %s%s: %w", s.path, PartialSuffix, err)
+		return fmt.Errorf("sync %s%s: %w", s.path, PartialSuffix, err)
 	}
 	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("campaign: close %s%s: %w", s.path, PartialSuffix, err)
+		return fmt.Errorf("close %s%s: %w", s.path, PartialSuffix, err)
 	}
 	if err := os.Rename(s.path+PartialSuffix, s.path); err != nil {
-		return fmt.Errorf("campaign: publish %s: %w", s.path, err)
+		return fmt.Errorf("publish %s: %w", s.path, err)
 	}
 	return nil
 }
@@ -73,7 +80,7 @@ func (s *FileSink) Close() error {
 func (s *FileSink) Abort() error {
 	err := s.inner.Abort()
 	if cerr := s.f.Close(); cerr != nil {
-		err = errors.Join(err, fmt.Errorf("campaign: close %s%s: %w", s.path, PartialSuffix, cerr))
+		err = errors.Join(err, fmt.Errorf("close %s%s: %w", s.path, PartialSuffix, cerr))
 	}
 	return err
 }

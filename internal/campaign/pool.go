@@ -80,8 +80,8 @@ func (c *Campaign) runTrials(trials []trial, opts RunOptions, run func(experimen
 				case err != nil:
 					if k < failedAt {
 						failedAt = k
-						trialErr = fmt.Errorf("campaign %q: point %d (%s) replicate %d: %w",
-							c.Spec.Name, t.point, c.Points[t.point].ParamsString(), t.rep, err)
+						trialErr = fmt.Errorf("point %d (%s) replicate %d: %w",
+							t.point, c.Points[t.point].ParamsString(), t.rep, err)
 					}
 				case doneErr == nil:
 					if doneErr = done(t, res); doneErr != nil {
@@ -97,9 +97,9 @@ func (c *Campaign) runTrials(trials []trial, opts RunOptions, run func(experimen
 	case trialErr != nil:
 		return trialErr
 	case doneErr != nil:
-		return fmt.Errorf("campaign %q: %w", c.Spec.Name, doneErr)
+		return doneErr
 	case closed(opts.Cancel) && int(next.Load()) < len(trials):
-		return fmt.Errorf("campaign %q: %w", c.Spec.Name, ErrCancelled)
+		return ErrCancelled
 	}
 	return nil
 }

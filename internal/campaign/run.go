@@ -128,7 +128,20 @@ type RunOptions struct {
 // stream when it returns a nil error. With opts.Range set, "every trial"
 // means the range's trials: entries outside [Lo, Hi) stay nil and the
 // sinks observe exactly the range, in index order.
+//
+// Every error it returns starts with `campaign "<name>": `, once: the
+// layers below it (trials, sinks, journal, cache) do not name the
+// campaign.
 func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
+	results, err := c.run(opts)
+	if err != nil {
+		return nil, fmt.Errorf("campaign %q: %w", c.Spec.Name, err)
+	}
+	return results, nil
+}
+
+// run is Run without the campaign's name on its errors.
+func (c *Campaign) run(opts RunOptions) ([][]experiment.Result, error) {
 	abortSinks := func() error {
 		var err error
 		for _, s := range opts.Sinks {
@@ -141,7 +154,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 		lo, hi = opts.Range.Lo, opts.Range.Hi
 		if lo < 0 || hi > len(c.Points) || lo > hi {
 			return nil, errors.Join(
-				fmt.Errorf("campaign %q: point range [%d,%d) outside the %d-point grid", c.Spec.Name, lo, hi, len(c.Points)),
+				fmt.Errorf("point range [%d,%d) outside the %d-point grid", lo, hi, len(c.Points)),
 				abortSinks())
 		}
 	}
@@ -235,13 +248,13 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 			sc := c.Points[i].Scenario
 			canonical, err := experiment.CanonicalScenarioJSON(sc)
 			if err != nil {
-				return nil, errors.Join(fmt.Errorf("campaign %q: hash point %d: %w", c.Spec.Name, i, err), abortSinks())
+				return nil, errors.Join(fmt.Errorf("hash point %d: %w", i, err), abortSinks())
 			}
 			hashes[i] = experiment.HashCanonicalJSON(canonical)
 			if left[i] > 0 && opts.Cache != nil {
 				rs, hit, err := opts.Cache.Get(hashes[i])
 				if err != nil {
-					return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
+					return nil, errors.Join(err, abortSinks())
 				}
 				// A vector of the wrong length under a hash that encodes
 				// the replication count is a damaged entry: a miss.
@@ -249,7 +262,7 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 					if journal != nil {
 						rec := checkpoint.Record{Index: i, Hash: hashes[i], Results: rs}
 						if err := journal.Append(rec); err != nil {
-							return nil, errors.Join(fmt.Errorf("campaign %q: %w", c.Spec.Name, err), abortSinks())
+							return nil, errors.Join(err, abortSinks())
 						}
 					}
 					results[i] = rs
@@ -381,17 +394,17 @@ func (c *Campaign) loadCheckpoint(dir string) (map[int][]experiment.Result, erro
 	completed := make(map[int][]experiment.Result, len(recs))
 	for _, r := range recs {
 		if r.Index < 0 || r.Index >= len(c.Points) {
-			return nil, fmt.Errorf("campaign %q: journal record index %d outside the %d-point grid — wrong campaign or edited spec", c.Spec.Name, r.Index, len(c.Points))
+			return nil, fmt.Errorf("journal record index %d outside the %d-point grid — wrong campaign or edited spec", r.Index, len(c.Points))
 		}
 		want, err := experiment.ScenarioHash(c.Points[r.Index].Scenario)
 		if err != nil {
-			return nil, fmt.Errorf("campaign %q: hash point %d: %w", c.Spec.Name, r.Index, err)
+			return nil, fmt.Errorf("hash point %d: %w", r.Index, err)
 		}
 		if r.Hash != want {
-			return nil, fmt.Errorf("campaign %q: journal record for point %d carries scenario hash %s, grid expects %s — the journal belongs to a different campaign", c.Spec.Name, r.Index, r.Hash, want)
+			return nil, fmt.Errorf("journal record for point %d carries scenario hash %s, grid expects %s — the journal belongs to a different campaign", r.Index, r.Hash, want)
 		}
 		if len(r.Results) != reps {
-			return nil, fmt.Errorf("campaign %q: journal record for point %d has %d replicates, grid expects %d", c.Spec.Name, r.Index, len(r.Results), reps)
+			return nil, fmt.Errorf("journal record for point %d has %d replicates, grid expects %d", r.Index, len(r.Results), reps)
 		}
 		completed[r.Index] = r.Results
 	}

@@ -111,7 +111,7 @@ func (s *JSONLSink) Point(p Point, res experiment.Result) error {
 		err = s.result(&res)
 	}
 	if err != nil {
-		return fmt.Errorf("campaign: jsonl point %d: %w", p.Index, err)
+		return fmt.Errorf("jsonl point %d: %w", p.Index, err)
 	}
 	return s.end()
 }
@@ -126,7 +126,7 @@ func (s *JSONLSink) Aggregate(p Point, agg Aggregate) error {
 				err = s.result(&res)
 			}
 			if err != nil {
-				return fmt.Errorf("campaign: jsonl point %d replicate %d: %w", p.Index, r, err)
+				return fmt.Errorf("jsonl point %d replicate %d: %w", p.Index, r, err)
 			}
 			if err := s.end(); err != nil {
 				return err
@@ -140,7 +140,7 @@ func (s *JSONLSink) Aggregate(p Point, agg Aggregate) error {
 		err = s.metrics(agg.Metrics)
 	}
 	if err != nil {
-		return fmt.Errorf("campaign: jsonl aggregate %d: %w", p.Index, err)
+		return fmt.Errorf("jsonl aggregate %d: %w", p.Index, err)
 	}
 	return s.end()
 }
@@ -225,7 +225,7 @@ func (s *JSONLSink) encode(v any) error {
 func (s *JSONLSink) end() error {
 	s.rec = append(s.rec, '}', '\n')
 	if _, err := s.w.Write(s.rec); err != nil {
-		return fmt.Errorf("campaign: jsonl write: %w", err)
+		return fmt.Errorf("jsonl write: %w", err)
 	}
 	return nil
 }
@@ -282,7 +282,7 @@ func (s *CSVSink) Begin(c *Campaign) error {
 		header = append(header, csvResultColumns...)
 	}
 	if err := s.w.Write(header); err != nil {
-		return fmt.Errorf("campaign: csv header: %w", err)
+		return fmt.Errorf("csv header: %w", err)
 	}
 	return nil
 }
@@ -303,7 +303,7 @@ func (s *CSVSink) Point(p Point, res experiment.Result) error {
 		strconv.Itoa(res.DBFRounds), strconv.Itoa(res.DBFBroadcasts), strconv.Itoa(res.MobilityEvents), strconv.Itoa(res.FailuresInjected),
 	)
 	if err := s.w.Write(row); err != nil {
-		return fmt.Errorf("campaign: csv point %d: %w", p.Index, err)
+		return fmt.Errorf("csv point %d: %w", p.Index, err)
 	}
 	return nil
 }
@@ -320,7 +320,7 @@ func (s *CSVSink) Aggregate(p Point, agg Aggregate) error {
 		row = append(row, gf(m.Mean), gf(m.Std), gf(m.CI95))
 	}
 	if err := s.w.Write(row); err != nil {
-		return fmt.Errorf("campaign: csv aggregate %d: %w", p.Index, err)
+		return fmt.Errorf("csv aggregate %d: %w", p.Index, err)
 	}
 	return nil
 }
@@ -329,7 +329,7 @@ func (s *CSVSink) Aggregate(p Point, agg Aggregate) error {
 func (s *CSVSink) Close() error {
 	s.w.Flush()
 	if err := s.w.Error(); err != nil {
-		return fmt.Errorf("campaign: csv flush: %w", err)
+		return fmt.Errorf("csv flush: %w", err)
 	}
 	return nil
 }

@@ -117,7 +117,8 @@ type Network struct {
 
 	// busyUntil[i] is the virtual time node i's channel clears: the end of
 	// the latest transmission whose radio range covers node i. Nodes defer
-	// their own transmissions past this point (carrier sense).
+	// their own transmissions past this point (carrier sense). It is
+	// allocated only with carrier sense on, and read only then.
 	busyUntil    []time.Duration
 	carrierSense bool
 
@@ -177,10 +178,12 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 		rng:          rng,
 		sizes:        cfg.Sizes,
 		alive:        alive,
-		busyUntil:    make([]time.Duration, n),
 		carrierSense: cfg.CarrierSense,
 		energy:       metrics.NewEnergyAccount(n),
 		count:        metrics.NewCounters(),
+	}
+	if cfg.CarrierSense {
+		nw.busyUntil = make([]time.Duration, n)
 	}
 	// A released network's arrays come back at length zero (Release).
 	if a, ok := spares.Get(); ok {

@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,6 +123,38 @@ func TestSubmitRunsToDone(t *testing.T) {
 	}
 	if got := m.Jobs(); len(got) != 1 || got[0] != j {
 		t.Fatalf("Jobs() = %v", got)
+	}
+}
+
+// TestFailedJobError pins a failed job's error text, the status field GET
+// /v1/jobs/{id} reports: Campaign.Run's error, which names the campaign
+// once, here for a journal that cannot be opened.
+func TestFailedJobError(t *testing.T) {
+	js, err := ParseJobSpec([]byte(testSpecJSON))
+	if err != nil {
+		t.Fatalf("ParseJobSpec: %v", err)
+	}
+	root := t.TempDir()
+	journal := checkpoint.JournalPath(filepath.Join(root, jobID(1, js)))
+	if err := os.MkdirAll(journal, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := os.OpenFile(journal, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_TRUNC, 0o644)
+	if openErr == nil {
+		t.Fatal("a directory opened as the journal")
+	}
+	m := NewManager(Config{CheckpointRoot: root, Run: stubRun})
+	defer m.Drain()
+	j, err := m.Submit([]byte(testSpecJSON))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if state := waitTerminal(t, j); state != JobFailed {
+		t.Fatalf("state = %s, want %s", state, JobFailed)
+	}
+	want := `campaign "svc-grid": checkpoint: open journal: ` + openErr.Error()
+	if got := j.Status().Error; got != want {
+		t.Fatalf("job error = %q\nwant %q", got, want)
 	}
 }
 

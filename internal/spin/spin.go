@@ -36,14 +36,16 @@ func DefaultConfig() Config {
 	return Config{Proc: network.DefaultProc}
 }
 
-// System is one SPIN network: all per-node protocol instances plus shared
+// System is one SPIN network: the per-node protocol instances plus shared
 // bookkeeping.
 type System struct {
 	nw       *network.Network
 	ledger   *dissem.Ledger
 	interest dissem.Interest
 	cfg      Config
-	nodes    []node
+	// nodes[i] is node i's instance, nil until a packet or an origination
+	// first reaches the node (instance).
+	nodes []*node
 
 	// pendingFn is the pending-timer handler, bound once so arming a
 	// timer allocates nothing; its argument is node<<32 | item.
@@ -55,7 +57,7 @@ var (
 	_ network.Receiver = (*System)(nil)
 )
 
-// NewSystem builds the protocol instances and binds them to the network.
+// NewSystem builds a SPIN system and binds it to the network.
 func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Interest, cfg Config) (*System, error) {
 	if nw == nil || ledger == nil || interest == nil {
 		return nil, fmt.Errorf("spin: nil dependency (nw=%v ledger=%v interest=%v)",
@@ -73,12 +75,13 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg}
 	s.pendingFn = s.onPendingExpired
 	nw.SetProcessingDelay(cfg.Proc)
-	// Nodes live in one contiguous slice (allocated once, never grown), so
-	// per-node state is a flat array walk rather than a pointer chase.
-	s.nodes = make([]node, nw.N())
-	for i := range s.nodes {
-		s.nodes[i] = node{sys: s, id: packet.NodeID(i)}
-	}
+	// Instances are created on first touch, not here: on a large field a
+	// SPIN run reaches a fraction of the nodes (under a fifth of 10⁵ in
+	// the clustered scale workload), so setup pays a pointer per node.
+	// SPMS and flooding keep contiguous arrays because every node of their
+	// runs is touched: flooding reaches every node, and SPMS's all-pairs
+	// route tables keep its fields at about 10³ nodes at most.
+	s.nodes = make([]*node, nw.N())
 	nw.Bind(s)
 	return s, nil
 }
@@ -123,11 +126,21 @@ func (s *System) Originate(src packet.NodeID, d packet.DataID) error {
 	if err := s.ledger.Originate(d, s.nw.Scheduler().Now()); err != nil {
 		return err
 	}
-	n := &s.nodes[src]
+	n := s.instance(src)
 	it := s.ledger.Index(d)
 	n.setHas(it)
 	n.advertise(d, it)
 	return nil
+}
+
+// instance returns node id's protocol instance, creating it on first use.
+func (s *System) instance(id packet.NodeID) *node {
+	n := s.nodes[id]
+	if n == nil {
+		n = &node{sys: s, id: id}
+		s.nodes[id] = n
+	}
+	return n
 }
 
 // node is one SPIN protocol instance. Per-item state lives in flat slices
@@ -180,15 +193,15 @@ func (s *System) HandleBatch(p packet.Packet, to []packet.NodeID) {
 	switch p.Kind {
 	case packet.ADV:
 		for _, id := range to {
-			s.nodes[id].onADV(&p, it)
+			s.instance(id).onADV(&p, it)
 		}
 	case packet.REQ:
 		for _, id := range to {
-			s.nodes[id].onREQ(&p, it)
+			s.instance(id).onREQ(&p, it)
 		}
 	case packet.DATA:
 		for _, id := range to {
-			s.nodes[id].onDATA(&p, it)
+			s.instance(id).onDATA(&p, it)
 		}
 	default:
 		// SPIN has no other traffic; CTRL packets would indicate a
@@ -225,7 +238,7 @@ func (n *node) onADV(p *packet.Packet, it int) {
 
 // onPendingExpired ends the pending window of node arg>>32 for item
 // uint32(arg). Expiry simply clears the suppression; a later ADV
-// re-requests.
+// re-requests. The node armed the timer, so its instance exists.
 func (s *System) onPendingExpired(arg uint64) {
 	s.nodes[arg>>32].pending[uint32(arg)] = sim.Timer{}
 	s.nw.Counters().Timeouts++
@@ -283,10 +296,12 @@ func (n *node) advertise(d packet.DataID, it int) {
 	})
 }
 
-// Has reports whether node id currently holds d (test hook).
+// Has reports whether node id currently holds d (test hook). It reads an
+// absent instance as holding nothing and creates none.
 func (s *System) Has(id packet.NodeID, d packet.DataID) bool {
 	if id < 0 || int(id) >= len(s.nodes) {
 		panic(fmt.Sprintf("spin: node id %d out of range", id))
 	}
-	return s.nodes[id].hasItem(s.ledger.Index(d))
+	n := s.nodes[id]
+	return n != nil && n.hasItem(s.ledger.Index(d))
 }

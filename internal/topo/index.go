@@ -58,11 +58,26 @@ func newSpatialIndex(bounds geom.Rect, cellSize float64, pos []geom.Point) *spat
 		grid: geom.NewCellGrid(bounds, cellSize, geom.MaxCellsForCount(len(pos))),
 		cell: make([]int32, len(pos)),
 	}
-	s.buckets = make([][]packet.NodeID, s.grid.NumCells())
+	// Count each cell's nodes, then carve every bucket from one array at
+	// exactly that capacity and fill it in id order. The capacity cap
+	// matters: a bucket that move grows past it reallocates alone rather
+	// than overwriting its neighbor's first slot.
+	counts := make([]int32, s.grid.NumCells())
 	for i, p := range pos {
-		c := s.grid.Index(s.grid.CellOf(p))
+		c := int32(s.grid.Index(s.grid.CellOf(p)))
+		s.cell[i] = c
+		counts[c]++
+	}
+	ids := make([]packet.NodeID, len(pos))
+	s.buckets = make([][]packet.NodeID, len(counts))
+	off := 0
+	for c, k := range counts {
+		end := off + int(k)
+		s.buckets[c] = ids[off:off:end]
+		off = end
+	}
+	for i, c := range s.cell {
 		s.buckets[c] = append(s.buckets[c], packet.NodeID(i))
-		s.cell[i] = int32(c)
 	}
 	return s
 }
@@ -139,15 +154,28 @@ type rebuildScratch struct {
 	counts []int // per-level counts, len == NumLevels
 }
 
-// ensure returns node id's cache, rebuilding it if a mobility event
-// invalidated it. The steady-state path (valid cache) does no work beyond
-// the epoch comparison and allocates nothing.
+// ensure returns node id's cache, creating its slot on the node's first
+// query and rebuilding it if a mobility event invalidated it. The
+// steady-state path (valid cache) does no work beyond the epoch comparison
+// and allocates nothing.
 func (f *Field) ensure(id packet.NodeID) *nodeCache {
-	c := &f.cache[id]
+	c := f.slot(id)
 	if c.epoch >= f.nodeEpoch[id] {
 		return c
 	}
 	f.rebuildNode(id, c, &f.scratch)
+	return c
+}
+
+// slot returns node id's cache slot, creating it on first use. A new slot
+// has epoch 0, below every node stamp (they start at 1), so it reads as
+// invalid until rebuildNode builds it.
+func (f *Field) slot(id packet.NodeID) *nodeCache {
+	c := f.cache[id]
+	if c == nil {
+		c = new(nodeCache)
+		f.cache[id] = c
+	}
 	return c
 }
 
@@ -217,6 +245,8 @@ func (f *Field) rebuildNode(id packet.NodeID, c *nodeCache, ws *rebuildScratch) 
 // lists are rebuilt from frozen inputs and written only by its own range's
 // worker), so a warmed field answers every query exactly as lazy rebuilds
 // would — WarmAll changes when the work happens, never what it produces.
+// Each worker creates the absent slots of its own range, so those writes
+// are disjoint too.
 //
 // Call it before read-only parallel passes over the field (graph building,
 // parallel route derivation): once every cache is valid, ZoneNeighbors /
@@ -225,7 +255,7 @@ func (f *Field) WarmAll(workers int) {
 	zone.For(workers, len(f.pos), func(_, lo, hi int) {
 		var ws rebuildScratch
 		for i := lo; i < hi; i++ {
-			c := &f.cache[i]
+			c := f.slot(packet.NodeID(i))
 			if c.epoch < f.nodeEpoch[i] {
 				f.rebuildNode(packet.NodeID(i), c, &ws)
 			}
@@ -345,11 +375,13 @@ func (f *Field) InvalidateAll() {
 // ValidCaches returns how many nodes currently hold a valid neighbor
 // cache: those some query (or WarmAll) rebuilt since their neighborhood
 // last changed. Like Epoch it exists for tests and diagnostics — it shows
-// how much of the field a run actually touched.
+// how much of the field a run actually touched. A slot is created only by
+// a query or WarmAll, which build it, so on a field where no node has
+// moved it counts the slots that exist.
 func (f *Field) ValidCaches() int {
 	n := 0
-	for i := range f.cache {
-		if f.cache[i].epoch >= f.nodeEpoch[i] {
+	for i, c := range f.cache {
+		if c != nil && c.epoch >= f.nodeEpoch[i] {
 			n++
 		}
 	}

@@ -30,7 +30,7 @@ type Field struct {
 
 	rangeSq []float64 // rangeSq[l-1]: RangeM(l)², strictly decreasing
 	index   *spatialIndex
-	cache   []nodeCache
+	cache   []*nodeCache // nil until the node's first query or WarmAll (slot)
 
 	epoch     uint64   // mobility event counter, starts at 1
 	nodeEpoch []uint64 // last epoch node i's neighborhood changed
@@ -38,16 +38,16 @@ type Field struct {
 	scratch rebuildScratch // lazy-rebuild workspace, reused across rebuilds
 }
 
-// newField wires the spatial index and empty caches over freshly placed
-// positions. Every cache starts invalid (epoch 0 < nodeEpoch 1), so first
-// queries build lazily through the index.
+// newField wires the spatial index over freshly placed positions, with no
+// neighbor cache yet: a node's cache slot is created and built by its
+// first query, through the index.
 func newField(m *radio.Model, pos []geom.Point, bounds geom.Rect) *Field {
 	f := &Field{
 		model:     m,
 		pos:       pos,
 		bounds:    bounds,
 		rangeSq:   make([]float64, m.NumLevels()),
-		cache:     make([]nodeCache, len(pos)),
+		cache:     make([]*nodeCache, len(pos)),
 		epoch:     1,
 		nodeEpoch: make([]uint64, len(pos)),
 	}
