@@ -307,7 +307,10 @@ func runCampaign(specPath string, args []string) int {
 	stopHeartbeat()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err) // Run's errors start with the campaign's name
-		if *checkpointDir != "" {
+		// The hint helps only once the journal opened: a checkpoint that
+		// could not be created, opened or replayed fails the resume too.
+		var ckErr *campaign.CheckpointError
+		if *checkpointDir != "" && !errors.As(err, &ckErr) {
 			fmt.Fprintf(os.Stderr, "campaign: resume with:\n  %s\n", resumeCommand(specPath, args))
 		}
 		if errors.Is(err, campaign.ErrCancelled) {

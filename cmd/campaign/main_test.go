@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // specPath is a small real campaign spec, used by setup-failure tests
@@ -182,7 +184,9 @@ func captureStderr(t *testing.T, fn func() int) (int, string) {
 // TestSetupErrorsPrintOnePrefix checks that an error whose text already
 // starts with "campaign" (LoadSpec's, ParseSpec's, Expand's,
 // NewFileSink's, and every error Campaign.Run returns, which names the
-// campaign) is printed as is, not under a second prefix.
+// campaign) is printed as is, not under a second prefix, and that a Run
+// error with -checkpoint prints the resume hint only once the journal had
+// opened.
 func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.json")
@@ -201,6 +205,12 @@ func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 	_, createErr := os.Create(partial)
 	notADir := spec("ckpt", "x")
 	mkdirErr := os.MkdirAll(notADir, 0o755)
+	// A journal that is a directory: replaying it fails.
+	unreadable := filepath.Join(dir, "unreadable")
+	if err := os.MkdirAll(checkpoint.JournalPath(unreadable), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := os.ReadFile(checkpoint.JournalPath(unreadable))
 	// A closed stdout: the JSONL sink's first write fails.
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -209,10 +219,10 @@ func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 	r.Close()
 	w.Close()
 	_, writeErr := w.Write([]byte("x"))
-	if openErr == nil || createErr == nil || mkdirErr == nil || writeErr == nil {
+	if openErr == nil || createErr == nil || mkdirErr == nil || readErr == nil || writeErr == nil {
 		t.Fatal("missing paths opened")
 	}
-	journalArgs := []string{"-checkpoint", notADir}
+	journalArgs := []string{"-parallel", "1", "-checkpoint", filepath.Join(dir, "journal")}
 	cases := []struct {
 		name   string
 		args   []string
@@ -230,8 +240,15 @@ func TestSetupErrorsPrintOnePrefix(t *testing.T) {
 			"campaign: create " + partial + ": " + createErr.Error()},
 		{"sink write failure", []string{"run", specPath, "-parallel", "1"}, w,
 			`campaign "stress-quick": jsonl write: ` + writeErr.Error()},
-		{"journal failure", append([]string{"run", specPath}, journalArgs...), nil,
-			`campaign "stress-quick": checkpoint: create dir: ` + mkdirErr.Error() +
+		// The journal never opened, so there is nothing to resume.
+		{"journal failure", []string{"run", specPath, "-checkpoint", notADir}, nil,
+			`campaign "stress-quick": checkpoint: create dir: ` + mkdirErr.Error()},
+		{"journal replay failure", []string{"run", specPath, "-checkpoint", unreadable, "-resume"}, nil,
+			`campaign: resuming "stress-quick" from ` + checkpoint.JournalPath(unreadable) +
+				"\ncampaign \"stress-quick\": checkpoint: read journal: " + readErr.Error()},
+		// The journal opened before the sink failed: resuming helps.
+		{"sink write failure with a journal", append([]string{"run", specPath}, journalArgs...), w,
+			`campaign "stress-quick": jsonl write: ` + writeErr.Error() +
 				"\ncampaign: resume with:\n  " + resumeCommand(specPath, journalArgs)},
 	}
 	for _, c := range cases {

@@ -140,6 +140,16 @@ func (c *Campaign) Run(opts RunOptions) ([][]experiment.Result, error) {
 	return results, nil
 }
 
+// CheckpointError is how Run reports that creating, opening or replaying
+// the checkpoint journal failed. Nothing ran and nothing was journaled, so
+// resuming the same command would fail the same way. Its text is the
+// failure's own.
+type CheckpointError struct{ Err error }
+
+func (e *CheckpointError) Error() string { return e.Err.Error() }
+
+func (e *CheckpointError) Unwrap() error { return e.Err }
+
 // run is Run without the campaign's name on its errors.
 func (c *Campaign) run(opts RunOptions) ([][]experiment.Result, error) {
 	abortSinks := func() error {
@@ -167,11 +177,11 @@ func (c *Campaign) run(opts RunOptions) ([][]experiment.Result, error) {
 		var err error
 		if opts.Resume {
 			if completed, err = c.loadCheckpoint(opts.Checkpoint); err != nil {
-				return nil, errors.Join(err, abortSinks())
+				return nil, errors.Join(&CheckpointError{err}, abortSinks())
 			}
 		}
 		if journal, err = checkpoint.OpenJournal(opts.Checkpoint, opts.Resume); err != nil {
-			return nil, errors.Join(err, abortSinks())
+			return nil, errors.Join(&CheckpointError{err}, abortSinks())
 		}
 		// Every Append already synced its record; Close has nothing left
 		// to flush.

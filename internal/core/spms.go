@@ -139,8 +139,8 @@ type System struct {
 	// one allocates nothing in steady state. An acquisition's slab index
 	// is its timers' event argument.
 	acqChunks []*[acqChunk]acquisition
-	acqFree   []uint64
-	acqCarved uint64
+	acqFree   []uint32
+	acqCarved uint32
 
 	// queries holds every pending inter-zone query ever opened, indexed by
 	// the query timer's event argument.
@@ -293,15 +293,11 @@ func (s *System) Prone(id packet.NodeID, d packet.DataID) (prone, scone packet.N
 }
 
 // acquisition is a destination's per-data-item negotiation state (§3.4).
+// The slab keeps one per open (node, item) negotiation, so its fields are
+// 32-bit where the values fit and ordered by alignment, the flags last: 88
+// bytes. The 32-bit slab and item indices cannot wrap: 2³¹ items or
+// acquisitions would not fit in memory.
 type acquisition struct {
-	id   uint64        // slab index: the event argument of its timers
-	node packet.NodeID // the acquiring node
-	d    packet.DataID // the item being acquired
-	it   int           // d's dense ledger index, -1 when never originated
-
-	prone packet.NodeID // primary originator node
-	scone packet.NodeID // secondary originator node
-
 	// The timer handles double as the protocol's own timer state: every
 	// path that fires or cancels τADV or τDAT zeroes its handle (stop, and
 	// the expiry handlers), so a non-zero handle is a pending timer and the
@@ -310,9 +306,17 @@ type acquisition struct {
 	tauADV sim.Timer
 	tauDAT sim.Timer
 
-	attempts   int  // REQ transmissions so far
-	lastDirect bool // last REQ was a direct (single-hop) transmission
+	d        packet.DataID // the item being acquired
+	id       uint32        // slab index: the event argument of its timers
+	it       int32         // d's dense ledger index, -1 when never originated
+	attempts int32         // REQ transmissions so far
+
+	node       packet.NodeID // the acquiring node
+	prone      packet.NodeID // primary originator node
+	scone      packet.NodeID // secondary originator node
 	lastTarget packet.NodeID
+
+	lastDirect bool // last REQ was a direct (single-hop) transmission
 	abandoned  bool // attempt budget exhausted; a fresh ADV restarts
 }
 
@@ -383,7 +387,7 @@ func (n *node) setHas(it int) {
 // as both PRONE and SCONE; unregistered items go to the overflow map.
 func (n *node) acquire(d packet.DataID, it int, provider packet.NodeID) *acquisition {
 	acq := n.sys.newAcquisition()
-	acq.node, acq.d, acq.it = n.id, d, it
+	acq.node, acq.d, acq.it = n.id, d, int32(it)
 	acq.prone, acq.scone = provider, provider
 	if it >= 0 {
 		n.grow(it)
@@ -423,7 +427,7 @@ func (n *node) finish(acq *acquisition) {
 // newAcquisition returns zeroed acquisition state from the slab, reusing
 // a freed slot when there is one.
 func (s *System) newAcquisition() *acquisition {
-	var id uint64
+	var id uint32
 	if k := len(s.acqFree); k > 0 {
 		id = s.acqFree[k-1]
 		s.acqFree = s.acqFree[:k-1]
@@ -440,7 +444,7 @@ func (s *System) newAcquisition() *acquisition {
 }
 
 // acqAt returns the acquisition in slab slot id.
-func (s *System) acqAt(id uint64) *acquisition {
+func (s *System) acqAt(id uint32) *acquisition {
 	return &s.acqChunks[id/acqChunk][id%acqChunk]
 }
 
@@ -559,16 +563,16 @@ func (n *node) onADV(p *packet.Packet, it int) {
 // τADV".
 func (n *node) armTauADV(acq *acquisition) {
 	acq.tauADV.Cancel()
-	acq.tauADV = n.sys.nw.Scheduler().AfterArg(n.sys.tauADV(), n.sys.tauADVFn, acq.id)
+	acq.tauADV = n.sys.nw.Scheduler().AfterArg(n.sys.tauADV(), n.sys.tauADVFn, uint64(acq.id))
 }
 
 // onTauADV handles the expiry of the τADV timer of acquisition arg:
 // request from the PRONE through the shortest path.
 func (s *System) onTauADV(arg uint64) {
-	acq := s.acqAt(arg)
+	acq := s.acqAt(uint32(arg))
 	acq.tauADV = sim.Timer{}
 	n := &s.nodes[acq.node]
-	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+	if !s.nw.Alive(n.id) || n.hasItem(int(acq.it)) {
 		return
 	}
 	s.nw.Counters().Timeouts++
@@ -579,7 +583,7 @@ func (s *System) onTauADV(arg uint64) {
 // the level that spans the distance) or along the multi-hop shortest path,
 // and arms τDAT.
 func (n *node) sendREQ(acq *acquisition, target packet.NodeID, direct bool) {
-	if acq.attempts >= n.sys.cfg.MaxAttempts {
+	if int(acq.attempts) >= n.sys.cfg.MaxAttempts {
 		acq.abandoned = true
 		stop(&acq.tauADV)
 		stop(&acq.tauDAT)
@@ -678,16 +682,16 @@ func (n *node) sendREQViaRouteOnce(d packet.DataID, target packet.NodeID) bool {
 // number of hops.
 func (n *node) armTauDAT(acq *acquisition, hops int) {
 	acq.tauDAT.Cancel()
-	acq.tauDAT = n.sys.nw.Scheduler().AfterArg(n.sys.tauDAT(hops), n.sys.tauDATFn, acq.id)
+	acq.tauDAT = n.sys.nw.Scheduler().AfterArg(n.sys.tauDAT(hops), n.sys.tauDATFn, uint64(acq.id))
 }
 
 // onTauDAT handles the expiry of the τDAT timer of acquisition arg: the
 // request was lost, so fail over.
 func (s *System) onTauDAT(arg uint64) {
-	acq := s.acqAt(arg)
+	acq := s.acqAt(uint32(arg))
 	acq.tauDAT = sim.Timer{}
 	n := &s.nodes[acq.node]
-	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+	if !s.nw.Alive(n.id) || n.hasItem(int(acq.it)) {
 		return
 	}
 	s.nw.Counters().Timeouts++

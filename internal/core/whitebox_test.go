@@ -7,6 +7,8 @@ package core
 // against the scheduler's view.
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -77,7 +79,7 @@ func TestSendREQRespectsAttemptBudget(t *testing.T) {
 	d := packet.DataID{Origin: 0, Seq: 0}
 	n := &fx.sys.nodes[2]
 	acq := n.acquire(d, fx.ledger.Index(d), 0)
-	acq.attempts = fx.sys.cfg.MaxAttempts
+	acq.attempts = int32(fx.sys.cfg.MaxAttempts)
 	n.sendREQ(acq, 0, true)
 	run(t, fx, 100*time.Millisecond)
 	if got := fx.nw.Counters().Sent[packet.REQ]; got != 0 {
@@ -251,7 +253,7 @@ func TestOutstandingCheckAfterFinishAndAbandon(t *testing.T) {
 	}{
 		{"finish", func(n *node, acq *acquisition) { n.finish(acq) }},
 		{"abandon", func(n *node, acq *acquisition) {
-			acq.attempts = n.sys.cfg.MaxAttempts
+			acq.attempts = int32(n.sys.cfg.MaxAttempts)
 			n.sendREQ(acq, 0, true)
 			if !acq.abandoned {
 				t.Fatal("exhausted acquisition not abandoned")
@@ -295,7 +297,7 @@ func TestTimerStateAgreesWithSchedulerOverARun(t *testing.T) {
 	var armedSeen, idleSeen int
 	var check sim.ArgHandler
 	check = func(uint64) {
-		for id := uint64(0); id < fx.sys.acqCarved; id++ {
+		for id := uint32(0); id < fx.sys.acqCarved; id++ {
 			acq := fx.sys.acqAt(id)
 			if armed(acq.tauADV) != acq.tauADV.Active() || armed(acq.tauDAT) != acq.tauDAT.Active() {
 				t.Fatalf("t=%v acquisition %d: τADV armed=%v Active=%v, τDAT armed=%v Active=%v",
@@ -317,5 +319,18 @@ func TestTimerStateAgreesWithSchedulerOverARun(t *testing.T) {
 	if armedSeen == 0 || idleSeen == 0 || fx.nw.Counters().Timeouts == 0 {
 		t.Fatalf("run never exercised the timers: armed %d, idle %d, timeouts %d",
 			armedSeen, idleSeen, fx.nw.Counters().Timeouts)
+	}
+}
+
+// TestCompactLayout pins the size of an SPMS acquisition, the slab's
+// element (DESIGN §8): a field that regrows it fails here with the type's
+// name.
+func TestCompactLayout(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	typ := reflect.TypeFor[acquisition]()
+	if got, want := typ.Size(), uintptr(88); got != want {
+		t.Errorf("%v is %d bytes, want %d", typ, got, want)
 	}
 }

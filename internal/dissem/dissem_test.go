@@ -94,7 +94,7 @@ func TestLedgerUnknownDataDelivery(t *testing.T) {
 func TestLedgerMultipleItems(t *testing.T) {
 	l := NewLedger()
 	for seq := 0; seq < 5; seq++ {
-		d := packet.DataID{Origin: 0, Seq: seq}
+		d := packet.DataID{Origin: 0, Seq: int32(seq)}
 		if err := l.Originate(d, time.Duration(seq)*time.Millisecond); err != nil {
 			t.Fatalf("Originate: %v", err)
 		}
@@ -188,7 +188,7 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	randomID := func() packet.DataID {
 		return packet.DataID{
 			Origin: packet.NodeID(rng.Intn(4001) - 2000),
-			Seq:    rng.Intn(41) - 20,
+			Seq:    int32(rng.Intn(41) - 20),
 		}
 	}
 	type pair struct {
@@ -272,7 +272,7 @@ func TestLedgerProbeWrapsAround(t *testing.T) {
 	l.grow() // the table the first Originate would make
 	last := len(l.table) - 1
 	var ids []packet.DataID
-	for seq := 0; len(ids) < 4; seq++ {
+	for seq := int32(0); len(ids) < 4; seq++ {
 		if d := (packet.DataID{Origin: 5, Seq: seq}); l.home(d.Key()) == last {
 			ids = append(ids, d)
 		}
@@ -302,7 +302,7 @@ func TestLedgerProbeWrapsAround(t *testing.T) {
 // first touch.
 func TestGrowItemsSizesFromReserve(t *testing.T) {
 	l := NewLedger()
-	for seq := 0; seq < 3; seq++ {
+	for seq := int32(0); seq < 3; seq++ {
 		if err := l.Originate(packet.DataID{Origin: 1, Seq: seq}, 0); err != nil {
 			t.Fatal(err)
 		}

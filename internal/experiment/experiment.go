@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -268,9 +269,10 @@ func (s Scenario) WithDefaults() Scenario {
 
 // Validate rejects unusable scenarios. Zero values that WithDefaults
 // fills (packets, arrival, spacing, drain, …) are accepted; explicit
-// nonsense — negative counts or durations, probabilities outside [0,1] —
-// is not, so a hand-written campaign spec fails loudly instead of
-// simulating garbage.
+// nonsense — negative counts or durations, probabilities outside [0,1],
+// more nodes or packets per node than 32-bit node ids and sequence numbers
+// can name — is not, so a hand-written campaign spec fails loudly instead
+// of simulating garbage.
 func (s Scenario) Validate() error {
 	if !protocols.Has(s.Protocol) {
 		return fmt.Errorf("experiment: unknown protocol %d", int(s.Protocol))
@@ -280,6 +282,9 @@ func (s Scenario) Validate() error {
 	}
 	if s.Nodes <= 0 {
 		return fmt.Errorf("experiment: non-positive node count %d", s.Nodes)
+	}
+	if s.Nodes > math.MaxInt32 {
+		return fmt.Errorf("experiment: node count %d above %d: node ids are 32-bit", s.Nodes, math.MaxInt32)
 	}
 	if s.GridSpacing < 0 {
 		return fmt.Errorf("experiment: negative grid spacing %v", s.GridSpacing)
@@ -298,6 +303,10 @@ func (s Scenario) Validate() error {
 	}
 	if s.PacketsPerNode < 0 {
 		return fmt.Errorf("experiment: negative packets per node %d", s.PacketsPerNode)
+	}
+	if s.PacketsPerNode > math.MaxInt32 {
+		return fmt.Errorf("experiment: packets per node %d above %d: sequence numbers are 32-bit",
+			s.PacketsPerNode, math.MaxInt32)
 	}
 	if s.Sources < 0 || s.Sources > s.Nodes {
 		return fmt.Errorf("experiment: source count %d outside [0,%d]", s.Sources, s.Nodes)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -32,10 +33,15 @@ func TestScenarioValidate(t *testing.T) {
 		{"unknown workload", func(sc *Scenario) { sc.Workload = 0 }, "unknown workload"},
 		{"zero nodes", func(sc *Scenario) { sc.Nodes = 0 }, "node count"},
 		{"negative nodes", func(sc *Scenario) { sc.Nodes = -5 }, "node count"},
+		// Validate builds nothing, so these never allocate a field.
+		{"nodes above 32-bit ids", func(sc *Scenario) { sc.Nodes = math.MaxInt32; sc.Nodes++ }, "node count 2147483648 above"},
+		{"nodes at 32-bit limit", func(sc *Scenario) { sc.Nodes = math.MaxInt32 }, ""},
 		{"negative spacing", func(sc *Scenario) { sc.GridSpacing = -1 }, "grid spacing"},
 		{"zero radius", func(sc *Scenario) { sc.ZoneRadius = 0 }, "zone radius"},
 		{"negative radius", func(sc *Scenario) { sc.ZoneRadius = -3 }, "zone radius"},
 		{"negative packets", func(sc *Scenario) { sc.PacketsPerNode = -1 }, "packets per node"},
+		{"packets above 32-bit seqs", func(sc *Scenario) { sc.PacketsPerNode = math.MaxInt32; sc.PacketsPerNode++ },
+			"packets per node 2147483648 above"},
 		{"negative arrival", func(sc *Scenario) { sc.MeanArrival = -time.Millisecond }, "mean arrival"},
 		{"interest prob below 0", func(sc *Scenario) { sc.ClusterInterestProb = -0.1 }, "outside [0,1]"},
 		{"interest prob above 1", func(sc *Scenario) { sc.ClusterInterestProb = 1.5 }, "outside [0,1]"},

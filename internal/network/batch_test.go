@@ -190,9 +190,9 @@ func TestHandleBatchContract(t *testing.T) {
 	wide := f.ReachedBy(12, radio.MaxPower)
 	dying[wide[len(wide)/2]] = true
 
-	want := map[int][]packet.NodeID{} // survivors by transmission
+	want := map[int32][]packet.NodeID{} // survivors by transmission
 	for i := range sends {
-		sends[i].Meta.Seq = i
+		sends[i].Meta.Seq = int32(i)
 		var live []packet.NodeID
 		for _, id := range reached(sends[i]) {
 			if !dying[id] {
@@ -200,7 +200,7 @@ func TestHandleBatchContract(t *testing.T) {
 			}
 		}
 		if len(live) > 0 {
-			want[i] = live
+			want[int32(i)] = live
 		}
 	}
 	if n := len(want[0]); n < 2 || n == len(wide) {

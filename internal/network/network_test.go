@@ -36,7 +36,7 @@ type batch struct {
 // packet, when.
 type handling struct {
 	node packet.NodeID
-	seq  int
+	seq  int32
 	at   time.Duration
 }
 

@@ -11,8 +11,10 @@ import (
 )
 
 // NodeID identifies a sensor node. IDs are dense indices assigned by the
-// field builder, starting at 0.
-type NodeID int
+// field builder, starting at 0. 32 bits keep every pending packet, event
+// argument and protocol record that names a node small;
+// experiment.Scenario.Validate refuses a field too large to number.
+type NodeID int32
 
 // Broadcast is the destination address for zone-wide broadcasts.
 const Broadcast NodeID = -1
@@ -21,7 +23,7 @@ const Broadcast NodeID = -1
 const None NodeID = -2
 
 // Kind enumerates the handshake packet types.
-type Kind int
+type Kind uint8
 
 // Packet kinds. ADV advertises metadata, REQ requests the named data, DATA
 // carries it. CTRL covers routing-protocol traffic (Bellman-Ford updates),
@@ -103,18 +105,16 @@ func (s Sizes) Validate() error {
 // the payload.
 type DataID struct {
 	Origin NodeID
-	Seq    int
+	Seq    int32
 }
 
 // String formats the metadata descriptor.
 func (d DataID) String() string { return fmt.Sprintf("d%d.%d", d.Origin, d.Seq) }
 
 // Key packs the DataID into a single word: the key of the ledger's item
-// table (dissem.Ledger.Index, resolved on every packet) and of the cold
-// per-node maps, where Go's map has a fast path for 8-byte keys that the
-// 16-byte struct key misses. Origin is a dense field index and Seq a
-// per-origin counter, both non-negative and far below 2³², so the packing
-// is collision-free.
+// table (dissem.Ledger.Index, resolved on every packet, which hashes it by
+// one multiplication) and of the cold per-node maps. Origin and Seq are
+// 32 bits each, so the packing is exact.
 func (d DataID) Key() uint64 { return uint64(uint32(d.Origin))<<32 | uint64(uint32(d.Seq)) }
 
 // Packet is one on-air frame. Src and Dst are the immediate-hop addresses
@@ -125,23 +125,27 @@ func (d DataID) Key() uint64 { return uint64(uint32(d.Origin))<<32 | uint64(uint
 //     the node the request is ultimately addressed to (PRONE or source).
 //   - For a DATA, Provider is the node that served the request and Requester
 //     the node the data is being delivered to.
+//
+// The fields are ordered by alignment, widest first, so the struct packs
+// into 72 bytes: the network keeps a copy of every packet on the air
+// (DESIGN §8).
 type Packet struct {
-	Kind      Kind
+	// Trail is the forwarding path accumulated by an inter-zone QRY (§6
+	// extension) and consumed, in reverse, by its source-routed DATA reply.
+	// Forwarders must copy-on-extend: the slice is shared across hops.
+	Trail []NodeID
+	Bytes int
+	// QuerySeq distinguishes retries of the same inter-zone query so
+	// forwarders' duplicate suppression does not swallow a re-query.
+	QuerySeq int
+
 	Meta      DataID
 	Src       NodeID // transmitting node of this hop
 	Dst       NodeID // immediate destination (or Broadcast)
 	Requester NodeID // end-to-end requesting node (REQ/DATA)
 	Provider  NodeID // end-to-end providing node (REQ/DATA)
+	Kind      Kind
 	Level     radio.Level
-	Bytes     int
-
-	// Trail is the forwarding path accumulated by an inter-zone QRY (§6
-	// extension) and consumed, in reverse, by its source-routed DATA reply.
-	// Forwarders must copy-on-extend: the slice is shared across hops.
-	Trail []NodeID
-	// QuerySeq distinguishes retries of the same inter-zone query so
-	// forwarders' duplicate suppression does not swallow a re-query.
-	QuerySeq int
 }
 
 // String formats the packet for traces and test failures.

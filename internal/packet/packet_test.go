@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -127,5 +129,25 @@ func TestReservedIDs(t *testing.T) {
 	}
 	if Broadcast == None {
 		t.Fatal("Broadcast and None must be distinct")
+	}
+}
+
+// TestCompactLayout pins the sizes of the packet the network keeps a copy
+// of per transmission on the air, and of its item name (DESIGN §8): a field
+// that regrows one of them fails here with the type's name.
+func TestCompactLayout(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		typ  reflect.Type
+		want uintptr
+	}{
+		{reflect.TypeFor[Packet](), 72},
+		{reflect.TypeFor[DataID](), 8},
+	} {
+		if got := c.typ.Size(); got != c.want {
+			t.Errorf("%v is %d bytes, want %d", c.typ, got, c.want)
+		}
 	}
 }

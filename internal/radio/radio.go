@@ -18,7 +18,7 @@ import (
 // Level identifies a discrete transmit power level. Level 1 is the maximum
 // power (largest range); higher level numbers are lower powers, matching the
 // paper's "Power level (1-5)" table.
-type Level int
+type Level int8
 
 // MaxPower is the level-1 (maximum power, maximum range) transmit setting.
 const MaxPower Level = 1

@@ -189,3 +189,16 @@ func TestTablesMemoryPerPair(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactLayout pins the size of a graph edge, which the graph keeps
+// per directed link: a field that regrows it fails here with the type's
+// name.
+func TestCompactLayout(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	typ := reflect.TypeFor[Edge]()
+	if got, want := typ.Size(), uintptr(16); got != want {
+		t.Errorf("%v is %d bytes, want %d", typ, got, want)
+	}
+}

@@ -37,10 +37,11 @@ import (
 const DefaultAlternatives = 2
 
 // Edge is one usable radio link: the lowest-power level that spans it and
-// that level's power draw, which is the link's routing weight.
+// that level's power draw, which is the link's routing weight. The weight
+// comes first so the struct packs into 16 bytes.
 type Edge struct {
-	To       packet.NodeID
 	WeightMW float64
+	To       packet.NodeID
 	Level    radio.Level
 }
 

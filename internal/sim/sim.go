@@ -37,15 +37,16 @@ var ErrStopped = errors.New("sim: stopped")
 // dispatch → recycle cycle allocation-free.
 type ArgHandler func(arg uint64)
 
-// event is one 40-byte arena slot. seq breaks ties between events at the
-// same virtual instant so dispatch order is deterministic; it is also the
-// event's identity — unique over the scheduler's whole lifetime — so a
-// Timer holding the seq it was issued under can never alias the slot's
-// next occupant, even after arbitrarily many reuses. pos is the slot's
-// current position in the heap, -1 while free or queued in the FIFO (FIFO
-// events have no Timer, so nothing reads it there).
+// event is one 32-byte arena slot. Its time lives only in the heap or FIFO
+// entry that orders it (heapEntry), which is where dispatch reads it. seq
+// breaks ties between events at the same virtual instant so dispatch order
+// is deterministic; it is also the event's identity — unique over the
+// scheduler's whole lifetime — so a Timer holding the seq it was issued
+// under can never alias the slot's next occupant, even after arbitrarily
+// many reuses. pos is the slot's current position in the heap, -1 while
+// free or queued in the FIFO (FIFO events have no Timer, so nothing reads
+// it there).
 type event struct {
-	at  time.Duration
 	seq uint64
 	fn  ArgHandler
 	arg uint64
@@ -53,13 +54,13 @@ type event struct {
 }
 
 // Timer is a handle to a scheduled event. The zero value is an inert timer:
-// Cancel and Active are safe to call and do nothing. Timers are small value
-// handles (they do not pin the event's memory) and may be copied freely.
+// Cancel and Active are safe to call and do nothing. Timers are 24-byte
+// value handles (they do not pin the event's memory) and may be copied
+// freely.
 type Timer struct {
 	s   *Scheduler
 	idx int32
 	seq uint64
-	at  time.Duration
 }
 
 // live reports whether the handle still names a pending event: the slot is
@@ -91,8 +92,15 @@ func (t Timer) Cancel() bool {
 // fired, and not canceled.
 func (t Timer) Active() bool { return t.live() }
 
-// At returns the virtual time the timer is (or was) scheduled to fire.
-func (t Timer) At() time.Duration { return t.at }
+// At returns the virtual time a pending timer is scheduled to fire, read
+// from its heap entry. It returns 0 for a handle that no longer names a
+// pending event: fired, canceled, zero or released.
+func (t Timer) At() time.Duration {
+	if !t.live() {
+		return 0
+	}
+	return t.s.heap[t.s.arena[t.idx].pos].at
+}
 
 // heapEntry is one pending-heap (or FIFO) element. It carries the full sort
 // key (at, seq) inline next to the arena index, so sift comparisons read
@@ -277,11 +285,11 @@ func (s *Scheduler) notePeak() {
 	}
 }
 
-// heapPush appends the slot and sifts it up.
-func (s *Scheduler) heapPush(idx int32) {
+// heapPush appends the slot, to fire at at, and sifts it up.
+func (s *Scheduler) heapPush(idx int32, at time.Duration) {
 	ev := &s.arena[idx]
 	ev.pos = int32(len(s.heap))
-	s.heap = append(s.heap, heapEntry{at: ev.at, seq: ev.seq, idx: idx})
+	s.heap = append(s.heap, heapEntry{at: at, seq: ev.seq, idx: idx})
 	s.notePeak()
 	s.siftUp(len(s.heap) - 1)
 }
@@ -358,9 +366,9 @@ func (s *Scheduler) siftDown(i int) {
 }
 
 // newEvent checks a schedule request and stores it in a fresh arena slot
-// under the next seq. Scheduling in the past (before Now) panics: it is
-// always a model bug, and silently clamping would mask causality
-// violations.
+// under the next seq; the caller queues the slot with its time. Scheduling
+// in the past (before Now) panics: it is always a model bug, and silently
+// clamping would mask causality violations.
 func (s *Scheduler) newEvent(op string, at time.Duration, fn ArgHandler, arg uint64) int32 {
 	if fn == nil {
 		panic("sim: Scheduler." + op + ": nil handler")
@@ -370,7 +378,6 @@ func (s *Scheduler) newEvent(op string, at time.Duration, fn ArgHandler, arg uin
 	}
 	idx := s.alloc()
 	ev := &s.arena[idx]
-	ev.at = at
 	ev.seq = s.seq
 	ev.fn = fn
 	ev.arg = arg
@@ -383,8 +390,8 @@ func (s *Scheduler) newEvent(op string, at time.Duration, fn ArgHandler, arg uin
 // caller-owned pooled state, so scheduling materializes no closure.
 func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
 	idx := s.newEvent("AtArg", at, fn, arg)
-	s.heapPush(idx)
-	return Timer{s: s, idx: idx, seq: s.arena[idx].seq, at: at}
+	s.heapPush(idx, at)
+	return Timer{s: s, idx: idx, seq: s.arena[idx].seq}
 }
 
 // AtFIFO schedules fn(arg) at the absolute virtual time at, for a caller
@@ -418,14 +425,15 @@ func (s *Scheduler) AfterArg(d time.Duration, fn ArgHandler, arg uint64) Timer {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // step pops and dispatches the earliest pending event: the FIFO head or the
-// heap root, whichever is first by (at, seq). It reports whether an event
-// fired. The slot is recycled before the handler runs, so a handler that
-// schedules may reuse it; the Timer seq check keeps old handles inert.
+// heap root, whichever is first by (at, seq), taking the dispatch time from
+// that entry. It reports whether an event fired. The slot is recycled
+// before the handler runs, so a handler that schedules may reuse it; the
+// Timer seq check keeps old handles inert.
 func (s *Scheduler) step() bool {
-	var idx int32
+	var e heapEntry
 	switch {
 	case s.fifoHead < len(s.fifo) && (len(s.heap) == 0 || entryLess(s.fifo[s.fifoHead], s.heap[0])):
-		idx = s.fifo[s.fifoHead].idx
+		e = s.fifo[s.fifoHead]
 		s.fifoHead++
 		if s.fifoHead == len(s.fifo) {
 			s.fifo = s.fifo[:0]
@@ -436,15 +444,15 @@ func (s *Scheduler) step() bool {
 			s.fifoHead = 0
 		}
 	case len(s.heap) > 0:
-		idx = s.heap[0].idx
+		e = s.heap[0]
 		s.heapRemove(0)
 	default:
 		return false
 	}
-	ev := &s.arena[idx]
-	at, fn, arg := ev.at, ev.fn, ev.arg
-	s.release(idx)
-	s.now = at
+	ev := &s.arena[e.idx]
+	fn, arg := ev.fn, ev.arg
+	s.release(e.idx)
+	s.now = e.at
 	s.dispatched++
 	fn(arg)
 	return true

@@ -3,8 +3,10 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -526,9 +528,48 @@ func TestTimerStaleAfterSlotReuse(t *testing.T) {
 	if !fresh.Active() {
 		t.Fatal("fresh timer should be active")
 	}
-	if old.At() != time.Millisecond {
-		t.Fatalf("stale handle At()=%v, want its original 1ms", old.At())
+	if got := old.At(); got != 0 {
+		t.Fatalf("stale handle At()=%v, want 0: it names no pending event", got)
 	}
+	if got := fresh.At(); got != 2*time.Millisecond {
+		t.Fatalf("fresh handle At()=%v, want 2ms", got)
+	}
+}
+
+// TestTimerAtFollowsHeapEntry checks that At, which reads a pending timer's
+// time from its heap entry, tracks the entry as sifts move it, and reads 0
+// once the timer fires or is canceled.
+func TestTimerAtFollowsHeapEntry(t *testing.T) {
+	s := NewScheduler()
+	rng := NewRNG(3)
+	timers := make([]Timer, 200)
+	want := make([]time.Duration, len(timers))
+	for i := range timers {
+		want[i] = time.Duration(1+rng.Intn(50)) * time.Millisecond
+		timers[i] = s.AtArg(want[i], func(uint64) {}, 0)
+	}
+	for i := 0; i < len(timers); i += 3 {
+		timers[i].Cancel()
+		want[i] = 0
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, tm := range timers {
+			if tm.Active() != (want[i] != 0) || tm.At() != want[i] {
+				t.Fatalf("%s: timer %d Active %v At %v, want At %v", stage, i, tm.Active(), tm.At(), want[i])
+			}
+		}
+	}
+	check("after cancels")
+	if err := s.Run(25 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if want[i] <= 25*time.Millisecond {
+			want[i] = 0
+		}
+	}
+	check("after a partial run")
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -710,5 +751,26 @@ func TestSchedulerKernelStats(t *testing.T) {
 	}
 	if got := s2.Dispatched(); got != 100 {
 		t.Fatalf("Dispatched = %d, want 100", got)
+	}
+}
+
+// TestCompactLayout pins the sizes of an event arena slot and of a Timer
+// handle (DESIGN §3): neither keeps the event's time, which its heap or
+// FIFO entry holds. A field that regrows one fails here with the type's
+// name.
+func TestCompactLayout(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		typ  reflect.Type
+		want uintptr
+	}{
+		{reflect.TypeFor[event](), 32},
+		{reflect.TypeFor[Timer](), 24},
+	} {
+		if got := c.typ.Size(); got != c.want {
+			t.Errorf("%v is %d bytes, want %d", c.typ, got, c.want)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func AllToAllSources(n, sources, packetsPerNode int, meanArrival time.Duration, 
 			t += rng.ExpDuration(meanArrival)
 			g.events = append(g.events, event{
 				at:   t,
-				data: packet.DataID{Origin: packet.NodeID(node), Seq: seq},
+				data: packet.DataID{Origin: packet.NodeID(node), Seq: int32(seq)},
 			})
 		}
 	}
@@ -147,7 +147,7 @@ func ClusteredSources(f *topo.Field, sources, packetsPerNode int, meanArrival ti
 		var t time.Duration
 		for seq := 0; seq < packetsPerNode; seq++ {
 			t += rng.ExpDuration(meanArrival)
-			d := packet.DataID{Origin: id, Seq: seq}
+			d := packet.DataID{Origin: id, Seq: int32(seq)}
 			g.events = append(g.events, event{at: t, data: d})
 
 			set := make(map[packet.NodeID]bool)
