@@ -7,6 +7,6 @@
 //
 // Start with README.md for a tour; DESIGN.md maps the paper's systems to
 // packages and states the concurrency contract (single-threaded schedulers,
-// parallel trials). The root package holds only the figure-regeneration
-// benchmarks (bench_test.go).
+// parallel trials). The root package holds only the byte-level golden
+// tests (golden_test.go) over the corpus in testdata/golden.
 package repro

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/figures"
 )
 
@@ -88,9 +89,10 @@ func TestGoldenFiguresQuick(t *testing.T) {
 }
 
 // goldenCampaignSpecs lists the specs the corpus locks: the quick fig8
-// campaign everyone runs, the stress grid shape at corpus scale, and the
+// campaign everyone runs, the stress grid shape at corpus scale, the
 // scenario-diversity grids (pre-existing dimensions in diversity.json,
-// the pluggable placement/mobility/failure models in models.json).
+// the pluggable placement/mobility/failure models in models.json), and
+// the design-choice ablations (ablation-*.json).
 func goldenCampaignSpecs(t *testing.T) []string {
 	t.Helper()
 	specs := []string{filepath.Join("examples", "campaigns", "fig8.json")}
@@ -104,6 +106,20 @@ func goldenCampaignSpecs(t *testing.T) []string {
 	return append(specs, extra...)
 }
 
+// expandSpec loads and expands the spec at path.
+func expandSpec(t *testing.T, path string) *campaign.Campaign {
+	t.Helper()
+	spec, err := campaign.LoadSpec(path)
+	if err != nil {
+		t.Fatalf("load %s: %v", path, err)
+	}
+	c, err := campaign.Expand(spec)
+	if err != nil {
+		t.Fatalf("expand %s: %v", path, err)
+	}
+	return c
+}
+
 // TestGoldenCampaigns runs every corpus campaign and locks both sink
 // formats (JSONL and CSV) byte for byte.
 func TestGoldenCampaigns(t *testing.T) {
@@ -114,25 +130,47 @@ func TestGoldenCampaigns(t *testing.T) {
 		specPath := specPath
 		t.Run(strings.TrimSuffix(filepath.Base(specPath), ".json"), func(t *testing.T) {
 			t.Parallel()
-			spec, err := campaign.LoadSpec(specPath)
-			if err != nil {
-				t.Fatalf("load %s: %v", specPath, err)
-			}
-			c, err := campaign.Expand(spec)
-			if err != nil {
-				t.Fatalf("expand %s: %v", specPath, err)
-			}
+			c := expandSpec(t, specPath)
 			var jsonl, csv bytes.Buffer
-			_, err = c.Run(campaign.RunOptions{
+			_, err := c.Run(campaign.RunOptions{
 				Sinks: []campaign.Sink{campaign.NewJSONLSink(&jsonl), campaign.NewCSVSink(&csv)},
 			})
 			if err != nil {
 				t.Fatalf("run %s: %v", specPath, err)
 			}
-			base := filepath.Join("testdata", "golden", "campaigns", spec.Name)
+			base := filepath.Join("testdata", "golden", "campaigns", c.Spec.Name)
 			checkGolden(t, base+".jsonl", jsonl.Bytes())
 			checkGolden(t, base+".csv", csv.Bytes())
 		})
+	}
+}
+
+// TestAblationSpecsShareOneBase pins the one-point ablations to the
+// route-alternatives spec's k = 2 point, which runs core.DefaultConfig():
+// each must equal that point with exactly its one switch flipped. Their
+// spmsConfig spells the defaults out by hand, so without this a change to
+// a Table 1 default would move the baseline and not the ablations.
+func TestAblationSpecsShareOneBase(t *testing.T) {
+	points := func(name string) []campaign.Point {
+		return expandSpec(t, filepath.Join("testdata", "golden", "campaigns", name+".json")).Points
+	}
+	base := points("ablation-route-alternatives")[1].Scenario
+	if base.RouteAlternatives != 2 || base.SPMSConfig != core.DefaultConfig() {
+		t.Fatalf("route-alternatives point 1 runs k = %d under %+v, want k = 2 under core.DefaultConfig()",
+			base.RouteAlternatives, base.SPMSConfig)
+	}
+	for _, tc := range []struct {
+		name string
+		flip func(*core.Config)
+	}{
+		{"ablation-relay-adv-off", func(c *core.Config) { c.DisableRelayADV = true }},
+		{"ablation-serve-from-cache", func(c *core.Config) { c.ServeFromCache = true }},
+	} {
+		want := base
+		tc.flip(&want.SPMSConfig)
+		if got := points(tc.name); len(got) != 1 || got[0].Scenario != want {
+			t.Errorf("%s expands to %+v, want the one point %+v", tc.name, got, want)
+		}
 	}
 }
 

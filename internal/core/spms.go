@@ -72,11 +72,12 @@ type Config struct {
 	// ServeFromCache lets a relay holding a cached copy answer a REQ that
 	// is addressed further upstream. The paper leaves this as future work
 	// ("we are also investigating the issue of data caching at intermediate
-	// nodes"); it is off by default and exists for the ablation benchmark.
+	// nodes"); it is off by default, and the ablation-serve-from-cache
+	// golden campaign turns it on.
 	ServeFromCache bool
 	// DisableRelayADV suppresses the re-advertisement of relayed data,
-	// for the ablation benchmark only. The protocol proper requires relay
-	// advertisement (§3.2).
+	// for the ablation-relay-adv-off golden campaign only. The protocol
+	// proper requires relay advertisement (§3.2).
 	DisableRelayADV bool
 	// QueryHorizon bounds how many zones an inter-zone query (§6 extension,
 	// System.Query) may cross. Zero means DefaultQueryHorizon.
@@ -810,8 +811,8 @@ func (n *node) serveDATA(req *packet.Packet) {
 // onDATA handles arriving data: deliver it if we are the requester, cache
 // and forward it if we are a relay. Either way the node advertises the item
 // once in its zone ("a node advertises its own data as well as all received
-// data once amongst its neighbors", §3.2) — unless the relay-ADV ablation
-// is active.
+// data once amongst its neighbors", §3.2) — unless DisableRelayADV
+// ablates relay re-advertisement.
 func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
 	isNew := !n.hasItem(it)

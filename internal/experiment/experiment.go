@@ -149,13 +149,13 @@ type Scenario struct {
 	WaypointPauseMax time.Duration `json:"waypointPauseMax,omitempty"`
 
 	// Protocol tuning.
-	SPMSConfig        core.Config `json:"spmsConfig"`                  // zero value means core.DefaultConfig
+	SPMSConfig        core.Config `json:"spmsConfig"`                  // zero value means core.DefaultConfig; any other replaces it whole
 	RouteAlternatives int         `json:"routeAlternatives,omitempty"` // SPMS routing entries per destination; 0 = 2
 	ChargeInitialDBF  bool        `json:"chargeInitialDBF,omitempty"`  // charge the initial convergence, not just re-runs
 
 	// CarrierSense enables shared-channel serialization in the network
-	// layer (see network.Config). Off for all figure reproductions; the MAC
-	// ablation benchmark turns it on.
+	// layer (see network.Config). Off for all figure reproductions; the
+	// ablation-carrier-sense golden campaign turns it on.
 	CarrierSense bool `json:"carrierSense,omitempty"`
 
 	// Run control.
@@ -349,6 +349,13 @@ func (s Scenario) Validate() error {
 	}
 	if s.WaypointPauseMax != 0 && s.WaypointPauseMax < s.WaypointPauseMin {
 		return fmt.Errorf("experiment: waypoint pause window [%v, %v] inverted", s.WaypointPauseMin, s.WaypointPauseMax)
+	}
+	// Like FailureCfg, the SPMS config is validated only when it will run;
+	// a zero config means core.DefaultConfig.
+	if s.Protocol == SPMS && s.SPMSConfig != (core.Config{}) {
+		if err := s.SPMSConfig.Validate(); err != nil {
+			return fmt.Errorf("experiment: %w", err)
+		}
 	}
 	if s.RouteAlternatives < 0 {
 		return fmt.Errorf("experiment: negative route alternatives %d", s.RouteAlternatives)

@@ -276,7 +276,7 @@ func TestChargeInitialDBF(t *testing.T) {
 
 func TestRouteAlternativesAblation(t *testing.T) {
 	// k=1 (no secondary routes) must still deliver in the failure-free
-	// case; the scenario knob exists for the ablation bench.
+	// case; the ablation-route-alternatives golden campaign sweeps k.
 	sc := quickScenario(SPMS)
 	sc.RouteAlternatives = 1
 	res, err := RunWith(sc, RunConfig{})

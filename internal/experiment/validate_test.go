@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -51,6 +52,15 @@ func TestScenarioValidate(t *testing.T) {
 		}, "inter-arrival"},
 		{"failure config ignored when failures off", func(sc *Scenario) {
 			sc.FailureCfg = fault.Config{MeanInterArrival: -time.Millisecond}
+		}, ""},
+		// A non-zero spmsConfig replaces core.DefaultConfig whole, so a
+		// config that sets only a switch has no timeouts.
+		{"partial spms config", func(sc *Scenario) {
+			sc.SPMSConfig = core.Config{DisableRelayADV: true}
+		}, "experiment: core: non-positive TOutADV 0s"},
+		{"spms config ignored for spin", func(sc *Scenario) {
+			sc.Protocol = SPIN
+			sc.SPMSConfig = core.Config{DisableRelayADV: true}
 		}, ""},
 		{"negative mobility period", func(sc *Scenario) { sc.MobilityPeriod = -time.Second }, "mobility period"},
 		{"mobility fraction below 0", func(sc *Scenario) { sc.MobilityFraction = -0.01 }, "mobility fraction"},

@@ -5,10 +5,11 @@
 // is G·n²: contention grows quadratically with the number of stations
 // sharing the channel. The simulation adds the slotted random backoff of
 // Table 1 (slot time 0.1 ms, 20 slots) on top of the deterministic term.
-//
-// The model is deliberately pluggable (the Delayer interface): the paper
-// notes that MAC models with higher powers of n, or exponential in n, would
-// only favor SPMS further.
+// Every simulated run (experiment.RunWith, network.DefaultConfig and the
+// figures' Table 1) uses AnalyticConfig, G = 0.01 ms, with carrier sense
+// off (DESIGN.md §4): the per-transmission delay is the whole contention
+// model. The paper notes that MAC models with higher powers of n, or
+// exponential in n, would only favor SPMS further.
 package mac
 
 import (
@@ -20,10 +21,8 @@ import (
 // DefaultConfig or AnalyticConfig.
 type Config struct {
 	// G is the proportionality constant of the deterministic G·n²
-	// contention term, in milliseconds. The paper's §4 analysis uses 0.01;
-	// the simulation (Table 1) models contention through slotted backoff
-	// plus carrier-sense channel serialization instead, so the simulation
-	// default is 0.
+	// contention term, in milliseconds. The paper's §4 analysis uses 0.01,
+	// and so does every simulated run (AnalyticConfig).
 	G float64
 	// SlotTime is the backoff slot duration (Table 1: 0.1 ms).
 	SlotTime time.Duration
@@ -31,9 +30,9 @@ type Config struct {
 	NumSlots int
 }
 
-// DefaultConfig returns the Table 1 simulation parameters: slotted backoff
-// only; contention emerges from carrier-sense serialization in the network
-// layer (see internal/network).
+// DefaultConfig returns Table 1's slotted backoff with no G·n² term. Only
+// the core, spin and flood test fixtures use it; simulated runs use
+// AnalyticConfig.
 func DefaultConfig() Config {
 	return Config{
 		G:        0,
@@ -42,8 +41,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// AnalyticConfig returns the §4 model parameters, where the expected access
-// delay is the closed-form G·n² with G = 0.01 ms.
+// AnalyticConfig returns the §4 model parameters, where the deterministic
+// access delay is the closed-form G·n² with G = 0.01 ms, plus Table 1's
+// slotted backoff. It is the configuration every simulated run uses.
 func AnalyticConfig() Config {
 	return Config{
 		G:        0.01,
@@ -66,20 +66,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Delayer computes the channel-access delay for one transmission.
-// contenders is the number of nodes within the transmitter's current radio
-// range (including itself); backoffSlot must be a uniform variate in
-// [0, NumSlots) supplied by the caller's RNG (or 0 for analytic use).
-type Delayer interface {
-	AccessDelay(contenders int, backoffSlot int) time.Duration
-}
-
 // CSMA is the paper's quadratic-contention slotted CSMA/CA model.
 type CSMA struct {
 	cfg Config
 }
-
-var _ Delayer = (*CSMA)(nil)
 
 // NewCSMA builds the model, validating the configuration.
 func NewCSMA(cfg Config) (*CSMA, error) {
@@ -95,8 +85,11 @@ func (c *CSMA) Config() Config { return c.cfg }
 // NumSlots returns the backoff window size, for callers drawing slots.
 func (c *CSMA) NumSlots() int { return c.cfg.NumSlots }
 
-// AccessDelay returns G·n² milliseconds plus backoffSlot slots. Negative
-// inputs are clamped to zero; a transmitter with no contenders still counts
+// AccessDelay returns one transmission's channel-access delay: G·n²
+// milliseconds for n contenders, the nodes within the transmitter's
+// current radio range (itself included), plus backoffSlot slots, a
+// uniform variate in [0, NumSlots) drawn by the caller. Negative inputs
+// are clamped to zero; a transmitter with no contenders still counts
 // itself, so contenders < 1 is treated as 1.
 func (c *CSMA) AccessDelay(contenders, backoffSlot int) time.Duration {
 	if contenders < 1 {
@@ -108,21 +101,4 @@ func (c *CSMA) AccessDelay(contenders, backoffSlot int) time.Duration {
 	n := float64(contenders)
 	contention := time.Duration(c.cfg.G * n * n * float64(time.Millisecond))
 	return contention + time.Duration(backoffSlot)*c.cfg.SlotTime
-}
-
-// ExpectedAccessDelay returns the mean access delay for n contenders:
-// the deterministic G·n² term plus the mean backoff (NumSlots-1)/2 slots.
-// The analytic model in internal/analysis uses only the G·n² term, matching
-// the paper's equations.
-func (c *CSMA) ExpectedAccessDelay(contenders int) time.Duration {
-	if contenders < 1 {
-		contenders = 1
-	}
-	n := float64(contenders)
-	contention := time.Duration(c.cfg.G * n * n * float64(time.Millisecond))
-	meanBackoff := time.Duration(0)
-	if c.cfg.NumSlots > 1 {
-		meanBackoff = time.Duration(c.cfg.NumSlots-1) * c.cfg.SlotTime / 2
-	}
-	return contention + meanBackoff
 }

@@ -9,7 +9,7 @@ import (
 func TestDefaultConfigMatchesTable1(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.G != 0 {
-		t.Fatalf("G=%v, want 0 (simulation contention comes from carrier sense)", cfg.G)
+		t.Fatalf("G=%v, want 0 (the test fixtures' backoff-only MAC; simulated runs use AnalyticConfig)", cfg.G)
 	}
 	if cfg.SlotTime != 100*time.Microsecond {
 		t.Fatalf("SlotTime=%v, want 0.1ms", cfg.SlotTime)
@@ -120,26 +120,6 @@ func TestAccessDelayMonotoneInContendersProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExpectedAccessDelay(t *testing.T) {
-	c, err := NewCSMA(AnalyticConfig())
-	if err != nil {
-		t.Fatalf("NewCSMA: %v", err)
-	}
-	// n=10: 0.01·100 = 1 ms contention + mean backoff 19/2 slots = 0.95 ms.
-	want := time.Millisecond + 950*time.Microsecond
-	if got := c.ExpectedAccessDelay(10); got != want {
-		t.Fatalf("ExpectedAccessDelay(10)=%v, want %v", got, want)
-	}
-	// Single-slot window has no expected backoff.
-	c1, err := NewCSMA(Config{G: 0.01, SlotTime: time.Millisecond, NumSlots: 1})
-	if err != nil {
-		t.Fatalf("NewCSMA: %v", err)
-	}
-	if got := c1.ExpectedAccessDelay(10); got != time.Millisecond {
-		t.Fatalf("single-slot expected delay=%v, want 1ms", got)
 	}
 }
 

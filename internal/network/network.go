@@ -3,17 +3,18 @@
 // model, and the radio energy model into broadcast/unicast primitives with
 // the paper's semantics:
 //
-//   - Carrier sense serializes the shared channel: a transmission at level
-//     l occupies the air for every node inside the transmitter's level-l
-//     radius until the frame ends; a node whose channel is busy defers its
-//     own transmission until the reservation clears. This is what produces
-//     the paper's central delay effect — SPIN's maximum-power traffic
-//     monopolizes ~n1 nodes per frame while SPMS's low-power hops occupy
-//     only ~ns nodes and proceed in parallel (spatial reuse).
-//   - On top of the busy-wait, a transmission takes a slotted random
-//     backoff (Table 1: 20 slots × 0.1 ms), an optional deterministic
-//     G·n² contention term (0 in the simulation default; the §4 analytic
-//     value is mac.AnalyticConfig), and the per-byte transmission time.
+//   - A transmission takes a slotted random backoff (Table 1: 20 slots ×
+//     0.1 ms), the §4 deterministic G·n² contention term for the n nodes
+//     its radio reaches (G = 0.01 ms, mac.AnalyticConfig, in every
+//     simulated run), and the per-byte transmission time. This is what
+//     produces the paper's central delay effect — SPIN's maximum-power
+//     traffic contends with ~n1 nodes per frame while SPMS's low-power
+//     hops contend with only ~ns.
+//   - With CarrierSense on, carrier sense also serializes the shared
+//     channel: a transmission at level l occupies the air for every node
+//     inside the transmitter's level-l radius until the frame ends; a node
+//     whose channel is busy defers its own transmission until the
+//     reservation clears.
 //   - A failed node cannot transmit; a transmission whose sender fails
 //     before completion is cancelled; a failed receiver drops the packet
 //     ("during the time of repair, any received message is dropped and any
@@ -90,7 +91,8 @@ type Config struct {
 	// — each item carries ~2·(n-1) ms of airtime — so the paper's reported
 	// millisecond-scale delays imply its simulator modeled contention as a
 	// per-transmission delay, not an occupancy. The mechanism is kept for
-	// the MAC ablation benchmark.
+	// the carrier-sense ablation (testdata/golden/campaigns/
+	// ablation-carrier-sense.json).
 	CarrierSense bool
 }
 

@@ -452,26 +452,35 @@ func TestHTTPJobLifecycle(t *testing.T) {
 }
 
 // TestHTTPBadAxisBody checks the whole 400 response to a submission
-// whose axis does not decode: the spec parser's text, under one
-// "campaign: " prefix.
+// that fails before a job exists: an axis that does not decode (the spec
+// parser's text, under one "campaign: " prefix) and a point that does not
+// validate (Expand's text, under the campaign's name). The second spells
+// only a switch in spmsConfig, which replaces core.DefaultConfig whole,
+// so its SPMS point has no timeouts.
 func TestHTTPBadAxisBody(t *testing.T) {
 	m := NewManager(Config{Run: stubRun})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	defer m.Drain()
 
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"name":"x","axes":{"nodes":{"from":10,"to":5}}}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	const want = "{\n  \"error\": \"campaign: parse spec: int axis range [10, 5] is empty\"\n}\n"
-	if resp.StatusCode != http.StatusBadRequest || string(body) != want {
-		t.Fatalf("POST = %d %q, want 400 %q", resp.StatusCode, body, want)
+	for _, tc := range []struct{ spec, want string }{
+		{`{"name":"x","axes":{"nodes":{"from":10,"to":5}}}`,
+			"{\n  \"error\": \"campaign: parse spec: int axis range [10, 5] is empty\"\n}\n"},
+		{`{"name":"partial","base":{"protocol":"spms","workload":"all-to-all","nodes":49,"zoneRadius":20,"spmsConfig":{"disableRelayADV":true}}}`,
+			"{\n  \"error\": \"campaign \\\"partial\\\": point 0 (): experiment: core: non-positive TOutADV 0s\"\n}\n"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("read body: %v", err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(body) != tc.want {
+			t.Fatalf("POST %s = %d %q, want 400 %q", tc.spec, resp.StatusCode, body, tc.want)
+		}
 	}
 	if jobs := m.Jobs(); len(jobs) != 0 {
 		t.Fatalf("a rejected submission registered %d jobs", len(jobs))
